@@ -125,6 +125,8 @@ def cmd_verify(args) -> int:
     if args.input:
         with open(args.input, encoding="utf-8") as fh:
             ws = parse_workspace(fh.read(), filename=args.input)
+        if not (ws.algebras or ws.coactions or ws.morphisms or ws.connections):
+            raise InputError(f"{args.input} declares nothing to verify")
         d = args.max_degree or 4
         for alg in ws.algebras.values():
             rep.extend(_verify_algebra(alg, d))
@@ -380,6 +382,9 @@ def main(argv=None) -> int:
     except (InputError, PresentationFileError, PresentationError, CoverageError,
             PoleError, FileNotFoundError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: word too long to normalize", file=sys.stderr)
         return 2
 
 

@@ -234,8 +234,10 @@ class Presentation:
     # -- confluence ---------------------------------------------------------------
 
     def check_local_confluence(self, d: int):
-        """Resolve every overlap ambiguity of rule left sides up to length d.
+        """Resolve every overlap ambiguity of rule left sides.
 
+        An ambiguity is at most 2 * maxlen - 1 letters long, so all of them
+        are resolved whatever d is; d only has to reach the longest rule.
         Returns a Report; failures are data, not errors.
         """
         from .report import Check, Report
@@ -251,14 +253,14 @@ class Presentation:
                 for k in range(1, min(len(l1), len(l2))):
                     if l1[len(l1) - k:] == l2[:k]:
                         w = l1 + l2[k:]
-                        if len(w) > d or (w, len(l1) - k, 0) in seen:
+                        if (w, len(l1) - k, 0) in seen:
                             continue
                         seen.add((w, len(l1) - k, 0))
                         checks.append(self._resolve_overlap(w, r1, 0, r2, len(l1) - k))
                 # containments: l2 a proper factor of l1
                 if r1 is not r2 and len(l2) < len(l1):
                     for i in range(len(l1) - len(l2) + 1):
-                        if l1[i:i + len(l2)] == l2 and len(l1) <= d:
+                        if l1[i:i + len(l2)] == l2:
                             checks.append(self._resolve_overlap(l1, r1, 0, r2, i))
         if not checks:
             checks.append(Check("no-overlaps", True, "rule set has no ambiguities",

@@ -65,66 +65,101 @@ def _content(a) -> int:
     return g
 
 
-def _divmod_frac(a, b):
-    """Polynomial division over Q; a, b are tuples of Fraction, b nonzero."""
-    a = list(a)
-    quo = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    inv = 1 / b[-1]
-    for k in range(len(a) - len(b), -1, -1):
-        c = a[k + len(b) - 1] * inv
-        if c:
-            quo[k] = c
-            for i, bc in enumerate(b):
-                a[k + i] -= c * bc
-    rem = _trim(a)
-    return tuple(quo), rem
+def _val(a) -> int:
+    """The q-adic valuation of a nonzero polynomial."""
+    k = 0
+    while not a[k]:
+        k += 1
+    return k
 
 
-def _frac_to_primitive_int(a):
-    """Scale a nonzero Fraction polynomial to a primitive integer polynomial
-    with positive leading coefficient."""
-    lcm = 1
-    for c in a:
-        lcm = lcm * c.denominator // _igcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in a]
-    g = _content(ints)
-    ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return tuple(ints)
+def _primitive(a):
+    g = _content(a)
+    return a if g == 1 else tuple(c // g for c in a)
+
+
+def _prem(a, b):
+    """A nonzero integer multiple of the remainder of a by b over Q, with b of
+    positive degree and deg a >= deg b."""
+    r = list(a)
+    nb, lb = len(b), b[-1]
+    while len(r) >= nb:
+        lr = r[-1]
+        g = _igcd(lr, lb)
+        mr, ma = lr // g, lb // g
+        if ma != 1:
+            r = [ma * c for c in r]
+        s = len(r) - nb
+        for i, c in enumerate(b):
+            r[s + i] -= mr * c
+        r = list(_trim(r))
+    return r
 
 
 def _pgcd(a, b):
-    """gcd over Z[q], positive leading coefficient, content included."""
+    """gcd over Z[q], positive leading coefficient, content included.
+
+    The q-power and the integer content are split off first; when either
+    argument is then a constant, they are the whole gcd.  Otherwise a
+    primitive pseudo-remainder sequence over Z[q] finds the rest.
+    """
     if not a and not b:
         return ()
     if not a:
         return b if b[-1] > 0 else _pneg(b)
     if not b:
         return a if a[-1] > 0 else _pneg(a)
-    c = _igcd(_content(a), _content(b))
-    fa = tuple(Fraction(x) for x in a)
-    fb = tuple(Fraction(x) for x in b)
-    while fb:
-        _, r = _divmod_frac(fa, fb)
-        fa, fb = fb, r
-    g = _frac_to_primitive_int(fa)
-    return tuple(x * c for x in g)
+    va, vb = _val(a), _val(b)
+    k = va if va < vb else vb
+    a, b = a[va:], b[vb:]
+    ca, cb = _content(a), _content(b)
+    c = _igcd(ca, cb)
+    if len(a) > 1 and len(b) > 1:
+        a = tuple(x // ca for x in a)
+        b = tuple(x // cb for x in b)
+        if len(a) < len(b):
+            a, b = b, a
+        while len(b) > 1:
+            r = _prem(a, b)
+            if not r:
+                break
+            a, b = b, _primitive(r)
+        if len(b) > 1:
+            if b[-1] < 0:
+                c = -c
+            return (0,) * k + tuple(x * c for x in b)
+    return (0,) * k + (c,)
 
 
 def _pdiv_exact(a, g):
     """Divide a by g exactly over Z[q]; g must divide a."""
     if not a:
         return ()
-    quo, rem = _divmod_frac(tuple(Fraction(x) for x in a), tuple(Fraction(x) for x in g))
-    if rem:
-        raise ArithmeticError("inexact polynomial division")
-    out = []
-    for c in quo:
-        if c.denominator != 1:
+    k = len(g) - 1
+    lg = g[-1]
+    if _is_monomial(g):
+        if any(a[:k]):
             raise ArithmeticError("inexact polynomial division")
-        out.append(int(c))
-    return _trim(out)
+        out = []
+        for c in a[k:]:
+            m, r = divmod(c, lg)
+            if r:
+                raise ArithmeticError("inexact polynomial division")
+            out.append(m)
+        return tuple(out)
+    r = list(a)
+    quo = [0] * max(len(a) - k, 0)
+    for i in range(len(quo) - 1, -1, -1):
+        m, rem = divmod(r[i + k], lg)
+        if rem:
+            raise ArithmeticError("inexact polynomial division")
+        if m:
+            quo[i] = m
+            for j, c in enumerate(g):
+                r[i + j] -= m * c
+    if any(r):
+        raise ArithmeticError("inexact polynomial division")
+    return tuple(quo)
 
 
 def _peval(a, x: Fraction) -> Fraction:

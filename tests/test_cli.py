@@ -207,3 +207,26 @@ row u
 def test_verify_needs_preset_or_input(capsys):
     code, _, err = run(capsys, "verify")
     assert code == 2
+
+
+def test_empty_input_is_an_input_error(capsys, tmp_path):
+    f = tmp_path / "empty.alg"
+    f.write_text("# only a comment\n")
+    code, out, err = run(capsys, "verify", "--input", str(f))
+    assert code == 2
+    assert "CHECK" not in out
+    assert "nothing to verify" in err
+
+
+def test_long_word_is_an_input_error(capsys, tmp_path):
+    f = tmp_path / "long.alg"
+    word = " ".join(["g*"] * 40 + ["a"] * 40)
+    f.write_text(presets.SUQ2_SOURCE + presets.U1_SOURCE +
+                 presets.FIBRATION_SOURCE + f"""
+connection long on fibration
+L 1 = 1 (x) 1
+L u = {word} (x) a
+""")
+    code, _, err = run(capsys, "verify", "--input", str(f))
+    assert code == 2
+    assert "error: word too long to normalize" in err

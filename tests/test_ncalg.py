@@ -163,6 +163,15 @@ def test_non_confluent_system_reports_failures_as_data():
     assert any(c.name == "overlap z z z" for c in rep.failures())
 
 
+def test_confluence_resolves_every_overlap_at_the_minimal_degree(suq2):
+    # every ambiguity of suq2 is 3 letters long; d = 2 may not skip them
+    short, full = suq2.check_local_confluence(2), suq2.check_local_confluence(3)
+    names = [c.name for c in full.checks]
+    assert len(names) == 8 and all(n.startswith("overlap ") for n in names)
+    assert [c.name for c in short.checks] == names
+    assert short.ok
+
+
 def test_confluence_degree_precondition(suq2):
     with pytest.raises(ValueError):
         suq2.check_local_confluence(1)

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qgalois.scalars import (PoleError, QRat, ScalarParseError, parse_scalar,
-                             q_power, qrat)
+from qgalois.scalars import (PoleError, QRat, ScalarParseError, _pdiv_exact, _pgcd,
+                             _pmul, parse_scalar, q_power, qrat)
 
 q = q_power(1)
 
@@ -99,3 +99,87 @@ def test_evaluate_is_a_homomorphism(a, b):
 @given(qrats())
 def test_parse_format_round_trip(a):
     assert parse_scalar(str(a)) == a
+
+
+# ---------------------------------------------------------------------------
+# the integer gcd kernel; polynomials are coefficient tuples, constant first
+
+def test_pgcd_without_monomial_arguments():
+    # (q+1)(q-2) and (q+1)(3q+5) share exactly q+1
+    assert _pgcd(_pmul((1, 1), (-2, 1)), _pmul((1, 1), (5, 3))) == (1, 1)
+    # a degree-2 common factor found by the pseudo-remainder sequence
+    h = (1, 1, 1)
+    assert _pgcd(_pmul(h, (-2, 1)), _pmul(h, (5, 0, 3))) == h
+    assert _pgcd((1, 1), (2, 1)) == (1,)
+    assert _pgcd((1, 0, 1), (1, 1)) == (1,)
+
+
+def test_pgcd_content_and_sign():
+    # 6(q+1)(q-2) and -4(q+1)(3q+5): content 2, positive leading coefficient
+    a = _pmul((6,), _pmul((1, 1), (-2, 1)))
+    b = _pmul((-4,), _pmul((1, 1), (5, 3)))
+    assert _pgcd(a, b) == (2, 2)
+    assert _pgcd(_pmul((-1,), a), _pmul((-1,), b)) == (2, 2)
+    assert _pgcd((-3, -3), (-6, -6)) == (3, 3)
+    # content only: primitive parts coprime
+    assert _pgcd((4, 8), (6, 0, 6)) == (2,)
+    assert _pgcd((-5,), (10, 15)) == (5,)
+    assert _pgcd((), (-2, -1)) == (2, 1)
+
+
+def test_pgcd_shared_q_powers():
+    # q^2 (q+1)(q-2) against q^3 (q+1)(3q+5)
+    a = _pmul((0, 0, 1), _pmul((1, 1), (-2, 1)))
+    b = _pmul((0, 0, 0, 1), _pmul((1, 1), (5, 3)))
+    assert _pgcd(a, b) == (0, 0, 1, 1)
+    # monomial arguments: gcd of the contents times the smaller q-power
+    assert _pgcd((0, 0, 0, 6), (0, 0, 4, 4)) == (0, 0, 2)
+    assert _pgcd((0, -3), (0, 0, 0, 9)) == (0, 3)
+    assert _pgcd((0, 0, 2, 2), (0, 1, 0, 3)) == (0, 1)
+
+
+def test_pdiv_exact():
+    h = _pmul((1, 1), (5, 3))
+    assert _pdiv_exact(_pmul(h, (-2, 1)), h) == (-2, 1)
+    assert _pdiv_exact((0, 0, 6, -4), (0, 2)) == (0, 3, -2)
+    assert _pdiv_exact((), (1, 1)) == ()
+    for a, g in (((1, 2), (1, 1)), ((3,), (2,)), ((1, 0, 2), (0, 1)), ((3, 3), (0, 2))):
+        with pytest.raises(ArithmeticError):
+            _pdiv_exact(a, g)
+
+
+@st.composite
+def factored_pairs(draw):
+    """f*h and g*h with a shared factor h, sometimes with q-powers and content."""
+    f, g, h = (tuple(draw(polys)) for _ in range(3))
+    shift = draw(st.integers(min_value=0, max_value=2))
+    return _pmul(f, (0,) * shift + h), _pmul(g, h)
+
+
+@settings(max_examples=150, deadline=None)
+@given(factored_pairs())
+def test_canonical_form_matches_sympy(pair):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("q")
+
+    def to_sympy(cs):
+        return sympy.Poly(list(reversed(cs)) or [0], x, domain="ZZ")
+
+    n, d = pair
+    if not any(d):
+        return
+    r = QRat(n, d)
+    N, D = to_sympy(n), to_sympy(d)
+    if any(n) and any(d):
+        assert to_sympy(_pgcd(n, d)) == sympy.gcd(N, D)
+    num, den = to_sympy(r.num), to_sympy(r.den)
+    # same value, lowest terms over Z[q], positive leading denominator
+    assert num * D == den * N
+    assert sympy.gcd(num, den) == sympy.Poly(1, x, domain="ZZ")
+    assert r.den[-1] > 0
+    # and the same degrees as sympy's own cancellation
+    p, s = sympy.fraction(sympy.cancel(N.as_expr() / D.as_expr()))
+    assert (r.num == ()) == (p == 0)
+    if r.num:
+        assert sympy.degree(p, x) == len(r.num) - 1
+    assert sympy.degree(s, x) == len(r.den) - 1
