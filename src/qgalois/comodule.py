@@ -6,7 +6,7 @@ coaction built from the inverse antipode.
 from __future__ import annotations
 
 from . import structure
-from .linalg import nullspace, RowSpace, invert_scalar_matrix
+from .linalg import RowSpace, invert_scalar_matrix, nullspace, vec_add
 from .ncalg import EMPTY, NCPoly, Presentation, PresentationError, Word, format_word
 from .report import Report
 from .scalars import QRat, qrat
@@ -229,19 +229,9 @@ def cotensor_basis(delta: Coaction, c: Corepresentation, d: int) -> list[list[NC
     variables = [(j, w) for j in range(c.n) for w in words]
     columns = []
     for (j, w) in variables:
-        col: dict = {}
-        for (aw, hw), coeff in delta.apply_word(w).terms.items():
-            key = (j, aw, hw)
-            col[key] = col.get(key, QRat(0)) + coeff
-        for jj in range(c.n):
-            for hw, coeff in c[j, jj].terms.items():
-                key = (jj, w, hw)
-                v = col.get(key, QRat(0)) - coeff
-                if v.is_zero:
-                    col.pop(key, None)
-                else:
-                    col[key] = v
-        columns.append({k: v for k, v in col.items() if not v.is_zero})
+        lhs = {(j, aw, hw): coeff for (aw, hw), coeff in delta.apply_word(w).terms.items()}
+        rhs = {(jj, w, hw): coeff for jj in range(c.n) for hw, coeff in c[j, jj].terms.items()}
+        columns.append(vec_add(lhs, rhs, QRat(-1)))
     key_order = lambda k: (k[0], A.term_key(k[1]), H.term_key(k[2]))
     sols = nullspace(columns, key_order)
     vectors = []

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from . import structure
 from .comodule import Coaction, left_coaction
-from .linalg import RowSpace, echelon_with_carry
+from .linalg import RowSpace
 from .ncalg import NCPoly, Presentation, PresentationError, Word
 from .report import Report
 from .scalars import QRat
@@ -108,23 +108,32 @@ class StrongConnection:
     def from_table(cls, domain: CoalgebraSpan, coaction: Coaction, pairs,
                    name: str = "") -> "StrongConnection":
         A = coaction.A
-        vecs = []
+        space = RowSpace(domain.H.term_key)
+        table_values = []
+
+        def combine(expr):
+            out = TensorElem.zero((A, A))
+            for k, c in expr.items():
+                out = out + table_values[k] * c
+            return out
+
         for elem, val in pairs:
             if elem.alg is not domain.H:
                 raise PresentationError("table element in the wrong coalgebra")
             if val.legs != (A, A):
                 raise PresentationError("table value must live in A (x) A")
-            vecs.append((dict(elem.terms), val))
-        rows, _, payloads = echelon_with_carry(vecs, domain.H.term_key)
-        # express each span basis element through the echelonized table rows,
-        # carrying the same combination on the tensor values
+            # a line dependent on earlier ones must agree with their values
+            v = dict(elem.terms)
+            if not space.insert(v) and combine(space.express(v)) != val:
+                raise PresentationError(
+                    f"table value at {elem} contradicts the earlier lines")
+            table_values.append(val)
         values = []
         for b in domain.basis:
-            combo, rem = _reduce_with_carry(dict(b.terms), rows, payloads,
-                                            domain.H.term_key)
-            if rem or combo is None:
+            expr = space.express(dict(b.terms))
+            if expr is None:
                 raise PresentationError(f"table does not cover span element {b}")
-            values.append(combo)
+            values.append(combine(expr))
         return cls(domain, A, coaction, "table", values, name=name)
 
     @classmethod
@@ -173,24 +182,6 @@ class StrongConnection:
 
     def __call__(self, h: NCPoly) -> TensorElem:
         return self.ell(h)
-
-
-def _reduce_with_carry(v: dict, rows, payloads, key_order):
-    from .linalg import vec_add
-
-    acc = None
-    v = dict(v)
-    changed = True
-    pivots = [max(r, key=key_order) for r in rows]
-    while changed and v:
-        changed = False
-        for p, row, load in zip(pivots, rows, payloads):
-            c = v.get(p)
-            if c is not None and not c.is_zero:
-                v = vec_add(v, row, -c)
-                acc = load * c if acc is None else acc + load * c
-                changed = True
-    return acc, v
 
 
 def check_strong_connection(ell: StrongConnection, delta: Coaction) -> Report:

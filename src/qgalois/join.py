@@ -129,13 +129,8 @@ class JoinElement:
             raise PresentationError("join elements over different coactions")
 
     def star(self) -> "JoinElement":
-        def star_tensor(t: TensorElem) -> TensorElem:
-            acc = {}
-            for k, c in t.terms.items():
-                kk = tuple(leg.star_word(w) for leg, w in zip(t.legs, k))
-                acc[kk] = acc.get(kk, QRat(0)) + c
-            return TensorElem(t.legs, acc)
-        return JoinElement(self.delta, self.tpoly.map_coeffs(star_tensor, self.legs),
+        return JoinElement(self.delta,
+                           self.tpoly.map_coeffs(structure._star_tensor, self.legs),
                            self.cap)
 
     def __eq__(self, other):
@@ -241,12 +236,9 @@ def join_coaction_membership(x: JoinElement, d_a: int) -> Report:
     words = A.basis_up_to_degree(d_a)
     h_words = sorted({k[2] for k in at1.terms}, key=H.term_key)
     variables = [(w, hw) for w in words for hw in h_words]
-    columns = []
-    for (w, hw) in variables:
-        col = {}
-        for (aw, hw1), coeff in delta_apply_cached(x.delta, w).items():
-            col[(aw, hw1, hw)] = coeff
-        columns.append(col)
+    columns = [{(aw, hw1, hw): coeff
+                for (aw, hw1), coeff in x.delta.apply_word(w).terms.items()}
+               for (w, hw) in variables]
     columns.append(dict(at1.terms))
     key_order = lambda k: (A.term_key(k[0]), H.term_key(k[1]), H.term_key(k[2]))
     ok1 = at1.is_zero
@@ -258,10 +250,6 @@ def join_coaction_membership(x: JoinElement, d_a: int) -> Report:
             "value lies in (delta (x) id)(A (x) H)" if ok1 else "boundary escapes",
             tag="x~(1) in (delta (x) id)(A (x) H)")
     return rep
-
-
-def delta_apply_cached(delta: Coaction, w) -> dict:
-    return delta.apply_word(w).terms
 
 
 def join_coassociativity(x: JoinElement) -> bool:

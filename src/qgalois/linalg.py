@@ -1,7 +1,9 @@
 """Exact Gaussian elimination over Q(q) on sparse vectors keyed by hashable labels.
 
-Pivots are chosen deterministically by a caller-supplied key order (term order
-of words in practice), so every reduction, rank and nullspace computation is
+One engine, RowSpace, does every elimination; nullspaces, inverses and span
+expansions read off the expressions it records for its rows.  Pivots are
+chosen deterministically by a caller-supplied key order (term order of words
+in practice), so every reduction, rank and nullspace computation is
 reproducible bit for bit.
 """
 
@@ -12,8 +14,8 @@ from .scalars import QRat
 Vec = dict  # key -> QRat, zero coefficients never stored
 
 
-def vec_add(a: Vec, b: Vec, scale: QRat | None = None) -> Vec:
-    out = dict(a)
+def _axpy(out: Vec, b: Vec, scale: QRat | None = None) -> None:
+    """out += scale * b in place, dropping coefficients that cancel."""
     for k, v in b.items():
         w = v if scale is None else v * scale
         nv = out.get(k)
@@ -22,6 +24,11 @@ def vec_add(a: Vec, b: Vec, scale: QRat | None = None) -> Vec:
             out.pop(k, None)
         else:
             out[k] = nv
+
+
+def vec_add(a: Vec, b: Vec, scale: QRat | None = None) -> Vec:
+    out = dict(a)
+    _axpy(out, b, scale)
     return out
 
 
@@ -31,63 +38,85 @@ def vec_scale(a: Vec, c: QRat) -> Vec:
     return {k: v * c for k, v in a.items()}
 
 
-def _pivot(v: Vec, key_order):
-    return max(v, key=key_order)
-
-
 class RowSpace:
     """Reduced row space built incrementally; rows normalized to pivot 1.
 
     key_order maps a vector key to a sortable value; the pivot of a row is its
-    largest key under that order.
+    largest key under that order.  Rows are kept fully reduced: no row has a
+    nonzero coefficient at another row's pivot.  Every call of insert takes
+    the next insertion index, and exprs[i] writes rows[i] as a combination
+    {insertion index: coefficient} of the inserted vectors.
     """
 
     def __init__(self, key_order):
         self.key_order = key_order
         self.rows: list[Vec] = []        # reduced, pivot coefficient 1
         self.pivots: list = []
+        self.exprs: list[Vec] = []
+        self.inserted = 0
+        self._row_of: dict = {}          # pivot key -> row index
 
-    def reduce(self, v: Vec) -> tuple[list[QRat], Vec]:
-        """Return coordinates against current rows and the remainder."""
-        coords = [QRat(0)] * len(self.rows)
-        v = dict(v)
-        changed = True
-        while changed and v:
-            changed = False
-            for i, (p, row) in enumerate(zip(self.pivots, self.rows)):
-                c = v.get(p)
-                if c is not None and not c.is_zero:
-                    coords[i] = coords[i] + c
-                    v = vec_add(v, row, -c)
-                    changed = True
-        return coords, v
+    def _reduce(self, v: Vec):
+        """(hits, remainder): v = sum c * rows[i] over hits (i, c) + remainder.
+
+        Since the rows are fully reduced, c is just v's coefficient at the
+        pivot of row i, so one pass over the keys of v suffices."""
+        rem = {k: c for k, c in v.items() if not c.is_zero}
+        hits = [(self._row_of[p], c) for p, c in rem.items() if p in self._row_of]
+        for i, c in hits:
+            _axpy(rem, self.rows[i], -c)
+        return hits, rem
 
     def insert(self, v: Vec) -> bool:
-        """Reduce v and insert the remainder if nonzero; returns True if inserted."""
-        _, rem = self.reduce(v)
+        """Reduce v and add the remainder as a row if it is nonzero; returns
+        True if a row was added."""
+        index = self.inserted
+        self.inserted += 1
+        hits, rem = self._reduce(v)
         if not rem:
             return False
-        p = _pivot(rem, self.key_order)
-        c = rem[p]
-        rem = vec_scale(rem, QRat(1) / c)
+        expr = {index: QRat(1)}
+        for i, c in hits:
+            _axpy(expr, self.exprs[i], -c)
+        p = max(rem, key=self.key_order)
+        inv = QRat(1) / rem[p]
+        rem = vec_scale(rem, inv)
+        expr = vec_scale(expr, inv)
         # keep earlier rows fully reduced against the new one
         for i, row in enumerate(self.rows):
             d = row.get(p)
-            if d is not None and not d.is_zero:
+            if d is not None:
                 self.rows[i] = vec_add(row, rem, -d)
+                _axpy(self.exprs[i], expr, -d)
+        self._row_of[p] = len(self.rows)
         self.rows.append(rem)
         self.pivots.append(p)
+        self.exprs.append(expr)
         return True
 
     def coordinates(self, v: Vec) -> list[QRat] | None:
-        """Coordinates of v in the span, or None if v is outside it."""
-        coords, rem = self.reduce(v)
+        """Coordinates of v over the rows, or None if v is outside the span."""
+        hits, rem = self._reduce(v)
         if rem:
             return None
+        coords = [QRat(0)] * len(self.rows)
+        for i, c in hits:
+            coords[i] = c
         return coords
 
+    def express(self, v: Vec) -> Vec | None:
+        """v as {insertion index: coefficient} over the inserted vectors, or
+        None if v is outside the span."""
+        hits, rem = self._reduce(v)
+        if rem:
+            return None
+        out: Vec = {}
+        for i, c in hits:
+            _axpy(out, self.exprs[i], c)
+        return out
+
     def contains(self, v: Vec) -> bool:
-        return self.coordinates(v) is not None
+        return not self._reduce(v)[1]
 
     def sorted_rows(self) -> list[Vec]:
         order = sorted(range(len(self.rows)),
@@ -99,178 +128,55 @@ class RowSpace:
         return len(self.rows)
 
 
-def echelon_with_carry(pairs, key_order):
-    """Echelonize (vector, payload) pairs, applying the same row operations to
-    the payloads.  payload must support +, scalar * via a pair of callables.
-
-    pairs: list of (Vec, payload); returns (rows, pivots, payloads) with rows
-    reduced and pivot coefficient 1.
-    """
-    rows: list[Vec] = []
-    pivots: list = []
-    payloads: list = []
-    for v, load in pairs:
-        v = dict(v)
-        for p, row, pl in zip(pivots, rows, payloads):
-            c = v.get(p)
-            if c is not None and not c.is_zero:
-                v = vec_add(v, row, -c)
-                load = load + pl * (-c)
-        if not v:
-            continue
-        p = _pivot(v, key_order)
-        c = v[p]
-        inv = QRat(1) / c
-        v = vec_scale(v, inv)
-        load = load * inv
-        for i in range(len(rows)):
-            d = rows[i].get(p)
-            if d is not None and not d.is_zero:
-                rows[i] = vec_add(rows[i], v, -d)
-                payloads[i] = payloads[i] + load * (-d)
-        rows.append(v)
-        pivots.append(p)
-        payloads.append(load)
-    return rows, pivots, payloads
-
-
 def independent_subset(vectors: list[Vec], key_order):
     """Scan vectors in order; return (kept indices, expansions) where for every
     dropped index j, expansions[j] gives coordinates of vectors[j] over the
     kept vectors preceding it (zero vectors expand to all-zero coordinates)."""
     kept: list[int] = []
     space = RowSpace(key_order)
-    basis_rows: list[Vec] = []
     expansions: dict[int, list[QRat]] = {}
     for j, v in enumerate(vectors):
         if space.insert(v):
             kept.append(j)
-            basis_rows.append(v)
         else:
-            coords = _solve_coords(v, [vectors[i] for i in kept], key_order)
-            expansions[j] = coords
+            expr = space.express(v)
+            expansions[j] = [expr.get(i, QRat(0)) for i in kept]
     return kept, expansions
-
-
-def _solve_coords(v: Vec, basis: list[Vec], key_order) -> list[QRat]:
-    """Solve v = sum c_i basis_i exactly (basis independent, v in span)."""
-    rows, pivots, payloads = echelon_with_carry(
-        [(b, _UnitRow(i, len(basis))) for i, b in enumerate(basis)], key_order)
-    coords_on_rows, rem = _reduce_against(v, rows, pivots)
-    if rem:
-        raise ArithmeticError("vector not in span")
-    out = [QRat(0)] * len(basis)
-    for c, load in zip(coords_on_rows, payloads):
-        if not c.is_zero:
-            for i, w in enumerate(load.coeffs):
-                out[i] = out[i] + c * w
-    return out
-
-
-def _reduce_against(v: Vec, rows: list[Vec], pivots: list):
-    coords = [QRat(0)] * len(rows)
-    v = dict(v)
-    changed = True
-    while changed and v:
-        changed = False
-        for i, (p, row) in enumerate(zip(pivots, rows)):
-            c = v.get(p)
-            if c is not None and not c.is_zero:
-                coords[i] = coords[i] + c
-                v = vec_add(v, row, -c)
-                changed = True
-    return coords, v
-
-
-class _UnitRow:
-    """Payload tracking row operations as coefficient lists."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, i=None, n=0, coeffs=None):
-        if coeffs is not None:
-            self.coeffs = coeffs
-        else:
-            self.coeffs = [QRat(0)] * n
-            if i is not None:
-                self.coeffs[i] = QRat(1)
-
-    def __add__(self, other):
-        return _UnitRow(coeffs=[a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __mul__(self, c):
-        return _UnitRow(coeffs=[a * c for a in self.coeffs])
 
 
 def nullspace(columns: list[Vec], key_order) -> list[list[QRat]]:
     """Solutions x with sum_j x_j * columns[j] = 0.
 
-    Returns a deterministic basis of coefficient lists, echelonized so that
-    each solution has leading 1 at its largest free index.
+    Returns one solution per free column j, i.e. per column in the span of
+    the earlier ones: x_j = 1, minus the expression of column j over the
+    earlier pivot columns, so x is 0 at every other free index.
     """
     n = len(columns)
-    constraint_keys = sorted({k for col in columns for k in col}, key=key_order)
-    key_index = {k: i for i, k in enumerate(constraint_keys)}
-    # rows of the constraint matrix, as dense lists over column index
-    m = len(constraint_keys)
-    rows = [[QRat(0)] * n for _ in range(m)]
-    for j, col in enumerate(columns):
-        for k, c in col.items():
-            rows[key_index[k]][j] = c
-    # forward elimination with column order 0..n-1
-    pivot_rows: list[int] = []
-    pivot_cols: list[int] = []
-    r = 0
-    for cidx in range(n):
-        sel = None
-        for i in range(r, m):
-            if not rows[i][cidx].is_zero:
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        inv = QRat(1) / rows[r][cidx]
-        rows[r] = [c * inv for c in rows[r]]
-        for i in range(m):
-            if i != r and not rows[i][cidx].is_zero:
-                f = rows[i][cidx]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivot_rows.append(r)
-        pivot_cols.append(cidx)
-        r += 1
-        if r == m:
-            break
-    pivot_set = set(pivot_cols)
-    free_cols = [j for j in range(n) if j not in pivot_set]
+    space = RowSpace(key_order)
     sols = []
-    for f in free_cols:
+    for j, col in enumerate(columns):
+        if space.insert(col):
+            continue
         x = [QRat(0)] * n
-        x[f] = QRat(1)
-        for pr, pc in zip(pivot_rows, pivot_cols):
-            x[pc] = -rows[pr][f]
+        x[j] = QRat(1)
+        for k, c in space.express(col).items():
+            x[k] = -c
         sols.append(x)
     return sols
 
 
 def invert_scalar_matrix(mat: list[list[QRat]]) -> list[list[QRat]] | None:
-    """Exact inverse of a square matrix over Q(q), or None if singular."""
+    """Exact inverse of a square matrix over Q(q), or None if singular.
+
+    The rows of mat, inserted as vectors over column indices, reduce to the
+    unit rows; the expression of unit row j over them is row j of the inverse.
+    """
     n = len(mat)
-    aug = [[QRat(m) for m in row] + [QRat(1) if i == j else QRat(0) for j in range(n)]
-           for i, row in enumerate(mat)]
-    for col in range(n):
-        sel = None
-        for i in range(col, n):
-            if not aug[i][col].is_zero:
-                sel = i
-                break
-        if sel is None:
+    space = RowSpace(lambda j: j)
+    for row in mat:
+        if not space.insert({j: QRat(m) for j, m in enumerate(row)}):
             return None
-        aug[col], aug[sel] = aug[sel], aug[col]
-        inv = QRat(1) / aug[col][col]
-        aug[col] = [c * inv for c in aug[col]]
-        for i in range(n):
-            if i != col and not aug[i][col].is_zero:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
+    inv: list = [None] * n
+    for p, expr in zip(space.pivots, space.exprs):
+        inv[p] = [expr.get(k, QRat(0)) for k in range(n)]
+    return inv

@@ -18,6 +18,9 @@ from .tensors import TensorElem
 
 _RESERVED_NAMES = {"q", "t", "x"}
 
+# largest |e| accepted in a power x^e; the expansion costs quadratic time in e
+MAX_EXPONENT = 1000
+
 
 class PresentationFileError(Exception):
     def __init__(self, message: str, filename: str = "<string>", line: int = 0):
@@ -180,6 +183,8 @@ class _ExprParser:
             if kind != "int":
                 self.error("integer exponent expected after '^'")
             e = sign * val
+            if abs(e) > MAX_EXPONENT:
+                self.error(f"exponent {e} exceeds the limit {MAX_EXPONENT}")
             if e < 0:
                 if set(v) - {0} or not v:
                     self.error("negative powers only apply to nonzero t-free scalars")

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from qgalois import presets
 from qgalois.cli import main
@@ -230,3 +234,44 @@ L u = {word} (x) a
     code, _, err = run(capsys, "verify", "--input", str(f))
     assert code == 2
     assert "error: word too long to normalize" in err
+
+
+HOPF1_TABLE = """
+connection hopf1 on fibration
+L 1 = 1 (x) 1
+L u = a* (x) a + g* (x) g
+"""
+
+
+def test_contradictory_connection_line_is_an_input_error(capsys, tmp_path):
+    f = tmp_path / "contra.alg"
+    f.write_text(presets.SUQ2_SOURCE + presets.U1_SOURCE +
+                 presets.FIBRATION_SOURCE + HOPF1_TABLE + "L u = 0 (x) 1\n")
+    code, out, err = run(capsys, "verify", "--input", str(f))
+    assert code == 2
+    assert "CHECK" not in out
+    assert "table value at u contradicts the earlier lines" in err
+
+
+def test_consistent_duplicate_connection_line_loads(capsys, tmp_path):
+    f = tmp_path / "dup.alg"
+    f.write_text(presets.SUQ2_SOURCE + presets.U1_SOURCE +
+                 presets.FIBRATION_SOURCE + HOPF1_TABLE +
+                 "L u = g* (x) g + a* (x) a\n")
+    code, out, _ = run(capsys, "verify", "--input", str(f), "--max-degree", "2")
+    assert code == 0
+    assert "CHECK hopf1/mult-counit u PASS" in out
+
+
+def test_huge_exponent_is_an_input_error(tmp_path):
+    f = tmp_path / "power.alg"
+    f.write_text(presets.SUQ2_SOURCE.replace("rel a* a = 1 - g g*",
+                                             "rel a* a = q^100000 a a*"))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "qgalois.cli", "verify", "--input", str(f)],
+                          capture_output=True, text=True, timeout=5, env=env)
+    assert proc.returncode == 2
+    line = presets.SUQ2_SOURCE[:presets.SUQ2_SOURCE.index("rel a* a")].count("\n") + 1
+    assert f"power.alg:{line}: exponent 100000 exceeds the limit 1000" in proc.stderr

@@ -142,3 +142,12 @@ L u = a* (x) a + g* (x) g
 def test_t_rejected_outside_joins(suq2):
     with pytest.raises(PresentationFileError):
         parse_element(suq2, "t a")
+
+
+def test_exponent_limit(suq2):
+    assert parse_element(suq2, "q^1000 a") == suq2.gen("a") * q_power(1000)
+    assert parse_element(suq2, "q^-1000 a") == suq2.gen("a") * q_power(-1000)
+    with pytest.raises(PresentationFileError, match="exceeds the limit"):
+        parse_element(suq2, "q^1001 a")
+    with pytest.raises(PresentationFileError, match="exceeds the limit"):
+        parse_element(suq2, "q^-1001 a")
