@@ -111,12 +111,12 @@ def _write_artifact(path, payload):
 # ---------------------------------------------------------------------------
 # verify
 
-def _verify_algebra(alg: Presentation, d: int) -> Report:
+def _verify_algebra(alg: Presentation) -> Report:
     rep = Report()
     conf = alg.check_local_confluence(max(6, alg._max_rule_len))
     rep.extend(conf, prefix=f"{alg.name}/")
     if alg.hopf is not None:
-        rep.extend(verify_hopf_axioms(alg, d), prefix=f"{alg.name}/")
+        rep.extend(verify_hopf_axioms(alg), prefix=f"{alg.name}/")
     return rep
 
 
@@ -127,11 +127,10 @@ def cmd_verify(args) -> int:
             ws = parse_workspace(fh.read(), filename=args.input)
         if not (ws.algebras or ws.coactions or ws.morphisms or ws.connections):
             raise InputError(f"{args.input} declares nothing to verify")
-        d = args.max_degree or 4
         for alg in ws.algebras.values():
-            rep.extend(_verify_algebra(alg, d))
+            rep.extend(_verify_algebra(alg))
         for name, delta in ws.coactions.items():
-            rep.extend(verify_coaction(delta, d), prefix=f"{name}/")
+            rep.extend(verify_coaction(delta), prefix=f"{name}/")
         for name, m in ws.morphisms.items():
             rep.extend(m.verify(), prefix=f"{name}/")
         for name, ell in ws.connections.items():
@@ -139,22 +138,20 @@ def cmd_verify(args) -> int:
     else:
         name, n = _parse_preset(args.preset)
         if name == "suq2":
-            rep.extend(_verify_algebra(presets.suq2(), args.max_degree or 4))
+            rep.extend(_verify_algebra(presets.suq2()))
         elif name == "u1":
-            rep.extend(_verify_algebra(presets.u1(), args.max_degree or 6))
+            rep.extend(_verify_algebra(presets.u1()))
         elif name == "podles-line":
-            d = args.max_degree or 4
-            rep.extend(_verify_algebra(presets.suq2(), d))
-            rep.extend(_verify_algebra(presets.u1(), max(d, 6)))
+            rep.extend(_verify_algebra(presets.suq2()))
+            rep.extend(_verify_algebra(presets.u1()))
             delta = presets.fibration_coaction()
-            rep.extend(verify_coaction(delta, d), prefix="fibration/")
+            rep.extend(verify_coaction(delta), prefix="fibration/")
             ell = presets.u1_power_connection(n)
             rep.extend(check_strong_connection(ell, delta), prefix=f"line-{n}/")
         else:  # trivial-base
-            d = args.max_degree or 4
-            rep.extend(_verify_algebra(presets.suq2(), d))
+            rep.extend(_verify_algebra(presets.suq2()))
             delta = presets.regular_suq2_coaction()
-            rep.extend(verify_coaction(delta, d), prefix="regular/")
+            rep.extend(verify_coaction(delta), prefix="regular/")
             ell = presets.trivial_connection_suq2()
             rep.extend(check_strong_connection(ell, delta), prefix="trivial-connection/")
     _emit(rep)
@@ -335,7 +332,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--preset", nargs="+", metavar="NAME",
                        help="suq2 | u1 | podles-line N | trivial-base")
         p.add_argument("--input", metavar="PATH", help="presentation file")
-        p.add_argument("--max-degree", type=int, default=None, metavar="N")
+        p.add_argument("--max-degree", type=int, default=None, metavar="N",
+                       help="degree of the pullback sigma sweep (default 3); verify "
+                            "accepts it but does not read it, since it certifies "
+                            "its axioms in every degree")
         p.add_argument("--q", default="symbolic", metavar="SPEC",
                        help="symbolic or a rational value like 1 or 3/7")
         p.add_argument("--functional", default="constant-term")

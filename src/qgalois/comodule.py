@@ -67,8 +67,14 @@ def trivial_coaction(A: Presentation, H: Presentation) -> Coaction:
     return Coaction(f"trivial_{A.name}", A, H, table)
 
 
-def verify_coaction(delta: Coaction, d: int) -> Report:
-    """Algebra-map, coassociativity and counitality certificates up to degree d."""
+def verify_coaction(delta: Coaction) -> Report:
+    """Algebra-map, coassociativity and counitality certificates in every degree.
+
+    Once the relation checks pass, delta is an algebra map, so both sides of
+    each axiom are algebra maps and agreement on the generators is agreement
+    everywhere.  This assumes that Delta_H and eps_H factor through the
+    relations of H, which `structure.verify_hopf_axioms` certifies.
+    """
     A, H = delta.A, delta.H
     structure._require_hopf(H)
     rep = Report()
@@ -81,23 +87,23 @@ def verify_coaction(delta: Coaction, d: int) -> Report:
                 tag="delta extends to an algebra map")
     unit_ok = delta.apply_word(EMPTY) == TensorElem.unit((A, H))
     rep.add("unit", unit_ok, "delta(1) = 1 (x) 1", tag="delta(1) = 1 (x) 1")
-    words = A.basis_up_to_degree(d)
+    gens = [(g.name,) for g in A.generators]
     bad_coassoc = []
     bad_counit = []
-    for w in words:
+    for w in gens:
         dv = delta.apply_word(w)
         lhs = dv.expand_leg(0, delta.apply_word, legs_hint=(A, H))
         rhs = dv.expand_leg(1, lambda u: structure.coproduct_word(H, u), legs_hint=(H, H))
         if lhs != rhs:
             bad_coassoc.append(w)
         back = dv.contract_leg(1, lambda u: structure.counit_word(H, u))
-        if back != NCPoly(A, {w: QRat(1)}, normal=True):
+        if back != NCPoly(A, {w: QRat(1)}):
             bad_counit.append(w)
 
     def _describe(bad):
         if not bad:
-            return f"all {len(words)} basis words up to degree {d}"
-        return "failing words: " + ", ".join(format_word(w) for w in bad[:5])
+            return f"on all {len(gens)} generators; algebra maps, so every degree"
+        return "failing generators: " + ", ".join(format_word(w) for w in bad[:5])
 
     rep.add("coassociativity", not bad_coassoc, _describe(bad_coassoc),
             tag="(delta (x) id) o delta = (id (x) Delta) o delta")

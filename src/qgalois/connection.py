@@ -31,6 +31,15 @@ class CoverageError(ValueError):
         self.element = element
 
 
+class TableLineError(PresentationError):
+    """A connection-table line contradicts the lines before it; `index` is its
+    position in the table."""
+
+    def __init__(self, message, index: int):
+        super().__init__(message)
+        self.index = index
+
+
 class CoalgebraSpan:
     """Finite-dimensional subspace of a Hopf presentation, meant to be closed
     under the coproduct and to contain the coaugmentation 1."""
@@ -117,7 +126,7 @@ class StrongConnection:
                 out = out + table_values[k] * c
             return out
 
-        for elem, val in pairs:
+        for i, (elem, val) in enumerate(pairs):
             if elem.alg is not domain.H:
                 raise PresentationError("table element in the wrong coalgebra")
             if val.legs != (A, A):
@@ -125,8 +134,8 @@ class StrongConnection:
             # a line dependent on earlier ones must agree with their values
             v = dict(elem.terms)
             if not space.insert(v) and combine(space.express(v)) != val:
-                raise PresentationError(
-                    f"table value at {elem} contradicts the earlier lines")
+                raise TableLineError(
+                    f"table value at {elem} contradicts the earlier lines", i)
             table_values.append(val)
         values = []
         for b in domain.basis:

@@ -10,7 +10,7 @@ central symbol t.
 from __future__ import annotations
 
 from .comodule import Coaction, Corepresentation
-from .connection import CoalgebraSpan, StrongConnection
+from .connection import CoalgebraSpan, StrongConnection, TableLineError
 from .ncalg import Generator, NCPoly, Presentation, PresentationError
 from .scalars import QRat, qrat
 from .structure import Morphism, attach_hopf
@@ -18,7 +18,8 @@ from .tensors import TensorElem
 
 _RESERVED_NAMES = {"q", "t", "x"}
 
-# largest |e| accepted in a power x^e; the expansion costs quadratic time in e
+# largest |e| accepted in a power x^e; expanding a power of an expression in t
+# costs quadratic time in e
 MAX_EXPONENT = 1000
 
 
@@ -185,10 +186,10 @@ class _ExprParser:
             e = sign * val
             if abs(e) > MAX_EXPONENT:
                 self.error(f"exponent {e} exceeds the limit {MAX_EXPONENT}")
-            if e < 0:
-                if set(v) - {0} or not v:
-                    self.error("negative powers only apply to nonzero t-free scalars")
-                return _t_const(v[0] ** e)
+            if e < 0 and (set(v) - {0} or not v):
+                self.error("negative powers only apply to nonzero t-free scalars")
+            if not set(v) - {0}:
+                return _t_const(v.get(0, QRat(0)) ** e)
             out = _t_const(1)
             for _ in range(e):
                 out = _t_mul(out, v)
@@ -611,6 +612,9 @@ def _build_connection(ws: Workspace, block, filename: str):
     try:
         span = CoalgebraSpan(H, [e for e, _ in pairs])
         ws.connections[name] = StrongConnection.from_table(span, delta, pairs, name=name)
+    except TableLineError as exc:
+        raise PresentationFileError(str(exc), filename,
+                                    block["body"][exc.index][0]) from None
     except PresentationError as exc:
         raise PresentationFileError(str(exc), filename, block["line"]) from None
 

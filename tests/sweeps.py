@@ -1,0 +1,67 @@
+"""Brute-force oracles for the generator certificates: each Hopf and coaction
+axiom tested on every basis word up to a degree, one word at a time.
+
+`structure.verify_hopf_axioms` and `comodule.verify_coaction` certify the
+axioms on generators only; these sweeps check the same identities directly in
+low degrees, so the two can be compared.  Each returns {check name: passed}.
+"""
+
+from qgalois import structure
+from qgalois.ncalg import NCPoly
+from qgalois.scalars import QRat
+from qgalois.tensors import TensorElem
+
+
+def sweep_hopf_axioms(alg, d: int) -> dict:
+    ok = dict.fromkeys(("coassociativity", "counit-laws", "antipode-law",
+                        "antipode-inverse", "star-coalgebra"), True)
+
+    def split(u):
+        return structure.coproduct_word(alg, u)
+
+    def eps(u):
+        return structure.counit_word(alg, u)
+
+    def s(u):
+        return structure.antipode(NCPoly(alg, {u: QRat(1)}, normal=True))
+
+    for w in alg.basis_up_to_degree(d):
+        p = NCPoly(alg, {w: QRat(1)}, normal=True)
+        d2 = structure.coproduct(p)
+        if d2.expand_leg(0, split, legs_hint=(alg, alg)) != \
+                d2.expand_leg(1, split, legs_hint=(alg, alg)):
+            ok["coassociativity"] = False
+        if d2.contract_leg(0, eps) != p or d2.contract_leg(1, eps) != p:
+            ok["counit-laws"] = False
+        target = alg.one() * structure.counit(p)
+        if d2.map_leg(0, s).multiply_legs() != target or \
+                d2.map_leg(1, s).multiply_legs() != target:
+            ok["antipode-law"] = False
+        if structure.antipode_inv(structure.antipode(p)) != p or \
+                structure.antipode(structure.antipode_inv(p)) != p:
+            ok["antipode-inverse"] = False
+        starred = TensorElem(d2.legs, {tuple(alg.star_word(u) for u in k): c
+                                       for k, c in d2.terms.items()})
+        if structure.coproduct(p.star()) != starred:
+            ok["star-coalgebra"] = False
+    return ok
+
+
+def sweep_coaction(delta, d: int) -> dict:
+    A, H = delta.A, delta.H
+    ok = {"coassociativity": True, "counitality": True}
+    for w in A.basis_up_to_degree(d):
+        dv = delta.apply_word(w)
+        lhs = dv.expand_leg(0, delta.apply_word, legs_hint=(A, H))
+        rhs = dv.expand_leg(1, lambda u: structure.coproduct_word(H, u), legs_hint=(H, H))
+        if lhs != rhs:
+            ok["coassociativity"] = False
+        if dv.contract_leg(1, lambda u: structure.counit_word(H, u)) != \
+                NCPoly(A, {w: QRat(1)}, normal=True):
+            ok["counitality"] = False
+    return ok
+
+
+def certified(rep, names) -> dict:
+    """The outcome of each named check in a certificate report."""
+    return {c.name: c.passed for c in rep.checks if c.name in names}

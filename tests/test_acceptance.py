@@ -18,6 +18,7 @@ from qgalois.join import (chi_collapse, chi_equivariance, counit_character,
                           sample_join_elements)
 from qgalois.scalars import QRat, q_power
 from qgalois.structure import verify_hopf_axioms
+from sweeps import sweep_hopf_axioms
 
 
 @contextmanager
@@ -57,8 +58,10 @@ def test_criterion_1_rewriting_soundness():
 
 def test_criterion_2_hopf_axioms():
     with criterion(2, "Hopf axioms", 30.0):
-        assert verify_hopf_axioms(presets.suq2(), 4).ok
-        assert verify_hopf_axioms(presets.u1(), 6).ok
+        assert verify_hopf_axioms(presets.suq2()).ok
+        assert verify_hopf_axioms(presets.u1()).ok
+        assert all(sweep_hopf_axioms(presets.suq2(), 4).values())
+        assert all(sweep_hopf_axioms(presets.u1(), 6).values())
 
 
 def test_criterion_3_strong_connections():

@@ -245,12 +245,14 @@ L u = a* (x) a + g* (x) g
 
 def test_contradictory_connection_line_is_an_input_error(capsys, tmp_path):
     f = tmp_path / "contra.alg"
-    f.write_text(presets.SUQ2_SOURCE + presets.U1_SOURCE +
-                 presets.FIBRATION_SOURCE + HOPF1_TABLE + "L u = 0 (x) 1\n")
+    text = (presets.SUQ2_SOURCE + presets.U1_SOURCE + presets.FIBRATION_SOURCE +
+            HOPF1_TABLE + "L u = 0 (x) 1\n")
+    f.write_text(text)
     code, out, err = run(capsys, "verify", "--input", str(f))
     assert code == 2
     assert "CHECK" not in out
-    assert "table value at u contradicts the earlier lines" in err
+    bad_line = text.count("\n")
+    assert f"contra.alg:{bad_line}: table value at u contradicts the earlier lines" in err
 
 
 def test_consistent_duplicate_connection_line_loads(capsys, tmp_path):

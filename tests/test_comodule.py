@@ -10,21 +10,44 @@ from qgalois.ncalg import PresentationError
 from qgalois.scalars import QRat, q_power
 from qgalois.tensors import TensorElem
 from qgalois import presets
+from sweeps import certified, sweep_coaction
 
 
 def test_fibration_coaction_verifies(fibration):
-    assert verify_coaction(fibration, 4).ok
+    assert verify_coaction(fibration).ok
 
 
 def test_regular_coaction_verifies(regular_suq2):
-    assert verify_coaction(regular_suq2, 2).ok
+    assert verify_coaction(regular_suq2).ok
+
+
+@pytest.mark.parametrize("name", ["fibration_coaction", "regular_suq2_coaction"])
+def test_coaction_certificate_agrees_with_the_sweep(name):
+    delta = getattr(presets, name)()
+    sweep = sweep_coaction(delta, 3)
+    assert all(sweep.values())
+    assert certified(verify_coaction(delta), sweep) == sweep
+
+
+def test_coassociativity_fault_fails_certificate_and_sweep(suq2, u1):
+    # delta(g) = -g (x) u respects every relation, since all terms of a
+    # relation hold g or g* an equal number of times mod 2; but -u is not
+    # grouplike
+    table = dict(presets.fibration_coaction().table)
+    table["g"] = TensorElem((suq2, u1), {(("g",), ("u",)): QRat(-1)})
+    table["g*"] = TensorElem((suq2, u1), {(("g*",), ("u*",)): QRat(-1)})
+    bad = Coaction("signed", suq2, u1, table)
+    rep = verify_coaction(bad)
+    assert all(c.passed for c in rep.checks if c.name.startswith("relation"))
+    assert not certified(rep, {"coassociativity"})["coassociativity"]
+    assert not sweep_coaction(bad, 3)["coassociativity"]
 
 
 def test_corrupted_coaction_fails(suq2, u1):
     table = dict(presets.fibration_coaction().table)
     table["g"] = TensorElem((suq2, u1), {(("g",), ("u*",)): QRat(1)})
     bad = Coaction("bad", suq2, u1, table)
-    rep = verify_coaction(bad, 2)
+    rep = verify_coaction(bad)
     assert not rep.ok
     assert any("relation" in c.name for c in rep.failures())
 
@@ -44,7 +67,7 @@ def test_invariants_of_the_regular_coaction(regular_suq2, suq2):
 
 def test_invariants_of_the_trivial_coaction(suq2, u1):
     triv = trivial_coaction(suq2, u1)
-    assert verify_coaction(triv, 2).ok
+    assert verify_coaction(triv).ok
     inv = invariant_subspace(triv, 1)
     assert len(inv) == 5
 

@@ -2,7 +2,7 @@ import pytest
 
 from qgalois import presets
 from qgalois.presfile import (PresentationFileError, parse_element,
-                              parse_tensor, parse_workspace)
+                              parse_expression, parse_tensor, parse_workspace)
 from qgalois.scalars import QRat, q_power
 from qgalois.tensors import TensorElem
 
@@ -22,6 +22,11 @@ def test_parse_element_terms(suq2):
     assert p == suq2.one() - suq2.word("g", "g*") * q_power(2)
     assert parse_element(suq2, "(q^2-1)/(q+1) a") == suq2.gen("a") * (q_power(1) - 1)
     assert parse_element(suq2, "0").is_zero
+    assert parse_element(suq2, "0^3 a").is_zero
+    assert parse_element(suq2, "0^0 a") == suq2.gen("a")
+    assert parse_element(suq2, "(1+q)^3 a") == suq2.gen("a") * (q_power(1) + 1) ** 3
+    assert parse_expression("(1-t)^2 a", [suq2], allow_t=True) == \
+        {(("a",),): {0: QRat(1), 1: QRat(-2), 2: QRat(1)}}
 
 
 def test_element_format_round_trip(suq2):

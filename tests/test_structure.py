@@ -1,10 +1,12 @@
 import pytest
 
-from qgalois import structure
+from qgalois import presets, structure
 from qgalois.ncalg import PresentationError
+from qgalois.presfile import parse_workspace
 from qgalois.scalars import QRat, q_power
 from qgalois.structure import Morphism, verify_hopf_axioms
 from qgalois.tensors import TensorElem
+from sweeps import certified, sweep_hopf_axioms
 
 
 def test_coproduct_of_alpha(suq2):
@@ -44,8 +46,46 @@ def test_antipode_identity_on_alpha(suq2):
 
 
 def test_hopf_axioms_sweeps(suq2, u1):
-    assert verify_hopf_axioms(suq2, 2).ok
-    assert verify_hopf_axioms(u1, 6).ok
+    assert verify_hopf_axioms(suq2).ok
+    assert verify_hopf_axioms(u1).ok
+
+
+@pytest.mark.parametrize("name, d", [("suq2", 3), ("u1", 6)])
+def test_hopf_certificate_agrees_with_the_sweep(name, d):
+    alg = getattr(presets, name)()
+    sweep = sweep_hopf_axioms(alg, d)
+    assert all(sweep.values())
+    assert certified(verify_hopf_axioms(alg), sweep) == sweep
+
+
+def _u1_copy():
+    return parse_workspace(presets.U1_SOURCE).algebras["u1"]
+
+
+def _reattach(alg, **tables):
+    h = alg.hopf
+    current = {"delta": h.delta, "counit": h.counit, "antipode": h.antipode,
+               "antipode_inv": h.antipode_inv}
+    current.update(tables)
+    structure.attach_hopf(alg, **current)
+
+
+def test_counit_fault_fails_certificate_and_sweep():
+    # Delta(u) = u (x) 1 respects u u* = 1 = u* u, but (eps (x) id)(u (x) 1) = 1
+    u1 = _u1_copy()
+    _reattach(u1, delta={g: TensorElem((u1, u1), {((g,), ()): QRat(1)})
+                         for g in ("u", "u*")})
+    rep = verify_hopf_axioms(u1)
+    assert all(c.passed for c in rep.checks if c.name.startswith("relation-compat"))
+    assert not certified(rep, {"counit-laws"})["counit-laws"]
+    assert not sweep_hopf_axioms(u1, 6)["counit-laws"]
+
+
+def test_inverse_antipode_must_respect_the_relations():
+    u1 = _u1_copy()
+    _reattach(u1, antipode_inv={"u": u1.gen("u*") * 2, "u*": u1.gen("u")})
+    failed = {c.name for c in verify_hopf_axioms(u1).failures()}
+    assert "relation-compat u u*" in failed
 
 
 def test_iterated_coproduct(suq2):
