@@ -1,10 +1,11 @@
 """Presented *-algebras: free words, rewriting to normal form, graded bases,
-local-confluence diagnostics.
+local confluence.
 
 Words are tuples of generator names.  A presentation carries an ordered
 generator list (the term order used for sorting and pivoting), a star pairing,
-and a terminating rewrite system; polynomials normalize at construction so
-that equality is structural.
+and a terminating rewrite system whose overlaps all resolve, checked when it
+is built; polynomials normalize at construction so that equality is
+structural.
 """
 
 from __future__ import annotations
@@ -14,6 +15,26 @@ from .scalars import QRat, qrat, needs_parens
 Word = tuple[str, ...]
 
 EMPTY: Word = ()
+
+_ONE = QRat(1)
+
+
+def _add_scaled(acc: dict, terms: dict, c: QRat) -> None:
+    """acc += c * terms in place, skipping products with an exact 1 and
+    dropping coefficients that cancel."""
+    c_one = c.num == (1,) and c.den == (1,)
+    for w, v in terms.items():
+        if not c_one:
+            v = c if v.num == (1,) and v.den == (1,) else v * c
+        old = acc.get(w)
+        if old is None:
+            acc[w] = v
+        else:
+            v = old + v
+            if v.is_zero:
+                del acc[w]
+            else:
+                acc[w] = v
 
 
 class PresentationError(ValueError):
@@ -51,7 +72,8 @@ class Presentation:
     """Generators with involution pairing, a term order and a rewrite system.
 
     Optional Hopf structure is attached by the structure module as `.hopf`.
-    Treated as immutable once built; normal forms are cached per word.
+    Treated as immutable once built; normal forms are memoized per word and
+    per seam (a normal word followed by one letter).
     """
 
     def __init__(self, name: str, generators, rules=(), reduction_precedence=None):
@@ -78,8 +100,19 @@ class Presentation:
                                          for r in rules]
         self._max_rule_len = max((len(r.lhs) for r in self.rules), default=0)
         self._nf_cache: dict[Word, dict] = {}
+        self._seam: dict[Word, dict] = {}
         self.hopf = None
         self._validate_rules()
+        self._by_last: dict[str, list[RewriteRule]] = {}
+        for r in self.rules:
+            self._by_last.setdefault(r.lhs[-1], []).append(r)
+        # normal forms are strategy-independent only once every overlap
+        # resolves (Bergman's diamond lemma), so confluence comes first
+        self._confluence = self._resolve_overlaps()
+        bad = dict.fromkeys(c.name for c in self._confluence.failures())
+        if bad:
+            raise PresentationError("rewrite system is not confluent: reductions differ at "
+                                    + ", ".join(bad))
         self._validate_star_closure()
 
     # -- orders -------------------------------------------------------------
@@ -148,36 +181,61 @@ class Presentation:
 
     # -- rewriting ------------------------------------------------------------
 
-    def _find_redex(self, w: Word):
-        rules = self.rules
-        for i in range(len(w)):
-            for r in rules:
-                L = r.lhs
-                if w[i:i + len(L)] == L:
-                    return i, r
+    def _rule_ending(self, w: Word, end: int):
+        """A rule whose left side is the factor of w ending just before `end`."""
+        for r in self._by_last.get(w[end - 1], ()):
+            n = len(r.lhs)
+            if n <= end and w[end - n:end] == r.lhs:
+                return r
         return None
 
-    def normal_form_word(self, w: Word) -> dict:
-        """Fixed point of rewriting for a single word, as a word->QRat map."""
-        cached = self._nf_cache.get(w)
-        if cached is not None:
-            return cached
-        hit = self._find_redex(w)
-        if hit is None:
-            res = {w: QRat(1)}
+    def _append(self, w: Word, x: str) -> dict:
+        """nf(w x) for a normal word w, memoized.
+
+        Only a redex ending at x can occur; its right side is folded back onto
+        the normal prefix in front of it one letter at a time.
+        """
+        wx = w + (x,)
+        res = self._seam.get(wx)
+        if res is not None:
+            return res
+        r = self._rule_ending(wx, len(wx))
+        if r is None:
+            res = {wx: _ONE}
         else:
-            i, r = hit
-            pre, post = w[:i], w[i + len(r.lhs):]
-            acc: dict = {}
+            pre = wx[:len(wx) - len(r.lhs)]
+            res = {}
+            # the fold is written out here, not shared with normal_form_word,
+            # so that each seam step costs one stack frame
             for rw, c in r.rhs.items():
-                for w2, c2 in self.normal_form_word(pre + rw + post).items():
-                    v = acc.get(w2)
-                    v = c * c2 if v is None else v + c * c2
-                    if v.is_zero:
-                        acc.pop(w2, None)
-                    else:
-                        acc[w2] = v
-            res = acc
+                terms = {pre: _ONE}
+                for y in rw:
+                    nxt: dict = {}
+                    for v, cv in terms.items():
+                        _add_scaled(nxt, self._append(v, y), cv)
+                    terms = nxt
+                _add_scaled(res, terms, c)
+        self._seam[wx] = res
+        return res
+
+    def normal_form_word(self, w: Word) -> dict:
+        """Normal form of a single word, as a word->QRat map.
+
+        A fold of the letters of w through `_append`, starting after the
+        longest normal prefix of w.  The result is shared: do not mutate it.
+        """
+        res = self._nf_cache.get(w)
+        if res is not None:
+            return res
+        n = 0
+        while n < len(w) and self._rule_ending(w, n + 1) is None:
+            n += 1
+        res = {w[:n]: _ONE}
+        for x in w[n:]:
+            nxt: dict = {}
+            for v, cv in res.items():
+                _add_scaled(nxt, self._append(v, x), cv)
+            res = nxt
         self._nf_cache[w] = res
         return res
 
@@ -185,19 +243,9 @@ class Presentation:
         acc: dict = {}
         for w, c in terms.items():
             c = qrat(c)
-            if c.is_zero:
-                continue
-            for w2, c2 in self.normal_form_word(tuple(w)).items():
-                v = acc.get(w2)
-                v = c * c2 if v is None else v + c * c2
-                if v.is_zero:
-                    acc.pop(w2, None)
-                else:
-                    acc[w2] = v
+            if not c.is_zero:
+                _add_scaled(acc, self.normal_form_word(tuple(w)), c)
         return acc
-
-    def is_normal_word(self, w: Word) -> bool:
-        return self._find_redex(w) is None
 
     # -- graded bases -----------------------------------------------------------
 
@@ -207,7 +255,6 @@ class Presentation:
             raise ValueError("degree bound must be nonnegative")
         out = [EMPTY]
         layer = [EMPTY]
-        maxlen = self._max_rule_len
         names = [g.name for g in self.generators]
         for _ in range(d):
             nxt = []
@@ -215,35 +262,30 @@ class Presentation:
                 for g in names:
                     cand = w + (g,)
                     # w is normal, so any new redex must end at the new letter
-                    lo = max(0, len(cand) - maxlen)
-                    if all(self._find_redex_at_suffix(cand, i) is None
-                           for i in range(lo, len(cand))):
+                    if self._rule_ending(cand, len(cand)) is None:
                         nxt.append(cand)
             layer = nxt
             out.extend(layer)
         out.sort(key=self.term_key)
         return out
 
-    def _find_redex_at_suffix(self, w: Word, i: int):
-        for r in self.rules:
-            L = r.lhs
-            if i + len(L) == len(w) and w[i:] == L:
-                return r
-        return None
-
     # -- confluence ---------------------------------------------------------------
 
     def check_local_confluence(self, d: int):
-        """Resolve every overlap ambiguity of rule left sides.
+        """The Report resolving every overlap ambiguity of rule left sides.
 
-        An ambiguity is at most 2 * maxlen - 1 letters long, so all of them
-        are resolved whatever d is; d only has to reach the longest rule.
-        Returns a Report; failures are data, not errors.
+        The overlaps are resolved once, when the presentation is built, and a
+        system with a failing one is refused there.  An ambiguity is at most
+        2 * maxlen - 1 letters long, so the report covers all of them whatever
+        d is; d only has to reach the longest rule.
         """
-        from .report import Check, Report
-
         if d < self._max_rule_len:
             raise ValueError("confluence degree must be at least the longest rule")
+        return self._confluence
+
+    def _resolve_overlaps(self):
+        from .report import Check, Report
+
         checks = []
         seen = set()
         for r1 in self.rules:
@@ -374,11 +416,6 @@ class NCPoly:
 
     def constant_term(self) -> QRat:
         return self.terms.get(EMPTY, QRat(0))
-
-    def leading_word(self) -> Word:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading word")
-        return max(self.terms, key=self.alg.term_key)
 
     def support(self) -> list[Word]:
         return sorted(self.terms, key=self.alg.term_key)

@@ -498,8 +498,11 @@ def _build_algebra(ws: Workspace, block, filename: str):
                                                           filename, lineno)
         for lineno, body in hopf_lines["counit"]:
             fields, rhs = _split_assign(body, filename, lineno)
-            tables["counit"][fields[0]] = parse_element(alg, rhs, filename,
-                                                        lineno).constant_term()
+            value = parse_element(alg, rhs, filename, lineno)
+            if value.degree() > 0:
+                raise PresentationFileError(f"counit of {fields[0]} must be a scalar",
+                                            filename, lineno)
+            tables["counit"][fields[0]] = value.constant_term()
         for lineno, body in hopf_lines["antipode"]:
             fields, rhs = _split_assign(body, filename, lineno)
             tables["antipode"][fields[0]] = parse_element(alg, rhs, filename, lineno)

@@ -1,9 +1,14 @@
-"""Brute-force oracles for the generator certificates: each Hopf and coaction
-axiom tested on every basis word up to a degree, one word at a time.
+"""Brute-force oracles for the fast paths of the library.
 
-`structure.verify_hopf_axioms` and `comodule.verify_coaction` certify the
-axioms on generators only; these sweeps check the same identities directly in
-low degrees, so the two can be compared.  Each returns {check name: passed}.
+Each Hopf and coaction axiom tested on every basis word up to a degree, one
+word at a time: `structure.verify_hopf_axioms` and `comodule.verify_coaction`
+certify the axioms on generators only; these sweeps check the same identities
+directly in low degrees, so the two can be compared.  Each returns
+{check name: passed}.
+
+`reference_normal_form` rewrites a whole word at its leftmost redex until none
+is left, a strategy independent of the letter-by-letter fold of
+`Presentation.normal_form_word`.
 """
 
 from qgalois import structure
@@ -65,3 +70,28 @@ def sweep_coaction(delta, d: int) -> dict:
 def certified(rep, names) -> dict:
     """The outcome of each named check in a certificate report."""
     return {c.name: c.passed for c in rep.checks if c.name in names}
+
+
+def reference_normal_form(alg, w, cache: dict) -> dict:
+    """Normal form of the word w by leftmost-redex rewriting, one recursive
+    call per rewrite step; `cache` maps every word met to its normal form."""
+    hit = cache.get(w)
+    if hit is not None:
+        return hit
+    redex = next(((i, r) for i in range(len(w)) for r in alg.rules
+                  if w[i:i + len(r.lhs)] == r.lhs), None)
+    if redex is None:
+        res = {w: QRat(1)}
+    else:
+        i, r = redex
+        res = {}
+        for rw, c in r.rhs.items():
+            for w2, c2 in reference_normal_form(alg, w[:i] + rw + w[i + len(r.lhs):],
+                                                cache).items():
+                v = res.get(w2, QRat(0)) + c * c2
+                if v.is_zero:
+                    res.pop(w2, None)
+                else:
+                    res[w2] = v
+    cache[w] = res
+    return res

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qgalois import presets
 from qgalois.cli import main
@@ -222,18 +226,63 @@ def test_empty_input_is_an_input_error(capsys, tmp_path):
     assert "nothing to verify" in err
 
 
-def test_long_word_is_an_input_error(capsys, tmp_path):
-    f = tmp_path / "long.alg"
-    word = " ".join(["g*"] * 40 + ["a"] * 40)
-    f.write_text(presets.SUQ2_SOURCE + presets.U1_SOURCE +
-                 presets.FIBRATION_SOURCE + f"""
+def long_word_file(path, word):
+    path.write_text(presets.SUQ2_SOURCE + presets.U1_SOURCE +
+                    presets.FIBRATION_SOURCE + f"""
 connection long on fibration
 L 1 = 1 (x) 1
 L u = {word} (x) a
 """)
-    code, _, err = run(capsys, "verify", "--input", str(f))
+
+
+def test_long_word_normalizes(capsys, tmp_path):
+    f = tmp_path / "long.alg"
+    long_word_file(f, " ".join(["g*"] * 40 + ["a"] * 40))
+    code, out, err = run(capsys, "verify", "--input", str(f))
+    assert code == 1
+    assert err == ""
+    # m(l(u)) = g*^40 a^41 = q^(-40*41) a^41 g*^40 by g* a = q^-1 a g*
+    word = " ".join(["a"] * 41 + ["g*"] * 40)
+    assert f"CHECK long/mult-counit u FAIL m(l(c)) = 1/q^1640 {word}, eps(c) = 1" in out
+
+
+def test_word_too_deep_to_normalize_is_an_input_error(tmp_path):
+    # moving a in front of 3000 letters g* nests one seam step per letter,
+    # deeper than the interpreter's recursion limit
+    f = tmp_path / "deep.alg"
+    long_word_file(f, " ".join(["g*"] * 3000 + ["a"]))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "qgalois.cli", "verify", "--input", str(f)],
+                          capture_output=True, text=True, timeout=5, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: word too long to normalize\n"
+
+
+def test_non_confluent_algebra_is_an_input_error(capsys, tmp_path):
+    f = tmp_path / "clash.alg"
+    f.write_text("""
+algebra clash
+generators z
+rel z z z = 0
+rel z z = z
+""")
+    code, out, err = run(capsys, "verify", "--input", str(f))
     assert code == 2
-    assert "error: word too long to normalize" in err
+    assert "CHECK" not in out
+    assert err.endswith("clash.alg:2: rewrite system is not confluent: "
+                        "reductions differ at overlap z z z z, overlap z z z\n")
+
+
+def test_non_scalar_counit_is_an_input_error(capsys, tmp_path):
+    f = tmp_path / "counit.alg"
+    f.write_text(presets.U1_SOURCE.replace("counit u = 1", "counit u = u"))
+    code, out, err = run(capsys, "verify", "--input", str(f))
+    assert code == 2
+    assert "CHECK" not in out
+    line = presets.U1_SOURCE[:presets.U1_SOURCE.index("counit u =")].count("\n") + 1
+    assert f"counit.alg:{line}: counit of u must be a scalar" in err
 
 
 HOPF1_TABLE = """
@@ -277,3 +326,47 @@ def test_huge_exponent_is_an_input_error(tmp_path):
     assert proc.returncode == 2
     line = presets.SUQ2_SOURCE[:presets.SUQ2_SOURCE.index("rel a* a")].count("\n") + 1
     assert f"power.alg:{line}: exponent 100000 exceeds the limit 1000" in proc.stderr
+
+
+# A valid file: B is the circle Hopf algebra on b, c = b*, coacting on itself,
+# with its connection and the identity morphism.  The fuzz test drops lines and
+# blocks and replaces right sides, so most files get past the parser.
+FUZZ_BASE = {
+    "algebra B": ["generators b c", "star b c", "rel b c = 1", "rel c b = 1",
+                  "coproduct b = b (x) b", "coproduct c = c (x) c", "counit b = 1",
+                  "counit c = 1", "antipode b = c", "antipode c = b", "antipode_inv b = c",
+                  "antipode_inv c = b"],
+    "coaction d : B -> B (x) B": ["delta b = b (x) b", "delta c = c (x) c"],
+    "connection l on d": ["L 1 = 1 (x) 1", "L b = c (x) b"],
+    "morphism m : B -> B": ["f b = b", "f c = c"],
+}
+fuzz_word = st.lists(st.sampled_from(["b", "c"]), max_size=3).map(lambda w: " ".join(w) or "1")
+fuzz_coeff = st.sampled_from(["", "2 ", "-1 ", "q ", "-1/q ", "(1 - q^2) "])
+fuzz_elem = st.lists(st.builds("{}{}".format, fuzz_coeff, fuzz_word),
+                     min_size=1, max_size=3).map(" + ".join)
+fuzz_tensor = st.lists(st.builds("{}{} (x) {}".format, fuzz_coeff, fuzz_word, fuzz_word),
+                       min_size=1, max_size=2).map(" + ".join)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_fuzzed_presentation_files_exit_0_1_or_2(tmp_path, data):
+    text = []
+    for header, body in FUZZ_BASE.items():
+        if header != "algebra B" and not data.draw(st.booleans()):
+            continue
+        text.append(header)
+        for line in body:
+            left, sep, right = line.partition(" = ")
+            variant = fuzz_tensor if "(x)" in right else fuzz_elem
+            edit = data.draw(st.sampled_from(["keep"] * 6 + ["drop", "replace"]))
+            if edit == "keep" or (edit == "replace" and not sep):
+                text.append(line)
+            elif edit == "replace":
+                text.append(left + " = " + data.draw(variant))
+    f = tmp_path / "fuzz.alg"
+    f.write_text("\n".join(text) + "\n")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["verify", "--input", str(f)])
+    assert code in (0, 1, 2)

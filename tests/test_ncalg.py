@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from qgalois.ncalg import (EMPTY, Generator, Presentation, PresentationError,
                            TerminationError, format_word)
 from qgalois.scalars import QRat, q_power
+from sweeps import reference_normal_form
 
 
 def pbw_count(n: int) -> int:
@@ -152,15 +153,15 @@ def test_termination_invariant_enforced():
         Presentation("bad", gens, [(("x",), {("x", "x"): QRat(1)})])
 
 
-def test_non_confluent_system_reports_failures_as_data():
+def test_non_confluent_system_is_refused_when_built():
     # zzz -> 0 together with zz -> z: the containment ambiguity resolves to
-    # 0 one way and z the other, so the report fails without raising
+    # 0 one way and z the other, so the presentation is refused and the
+    # error names the overlaps that do not resolve
     gens = [Generator("z", "z")]
-    P = Presentation("clash", gens, [(("z", "z", "z"), {}),
+    with pytest.raises(PresentationError) as exc:
+        Presentation("clash", gens, [(("z", "z", "z"), {}),
                                      (("z", "z"), {("z",): QRat(1)})])
-    rep = P.check_local_confluence(4)
-    assert not rep.ok
-    assert any(c.name == "overlap z z z" for c in rep.failures())
+    assert str(exc.value).endswith("reductions differ at overlap z z z z, overlap z z z")
 
 
 def test_confluence_resolves_every_overlap_at_the_minimal_degree(suq2):
@@ -170,6 +171,10 @@ def test_confluence_resolves_every_overlap_at_the_minimal_degree(suq2):
     assert len(names) == 8 and all(n.startswith("overlap ") for n in names)
     assert [c.name for c in short.checks] == names
     assert short.ok
+
+
+def test_confluence_is_resolved_once_when_built(suq2):
+    assert suq2.check_local_confluence(3) is suq2.check_local_confluence(6)
 
 
 def test_confluence_degree_precondition(suq2):
@@ -222,3 +227,21 @@ def test_involution_is_an_involution(w):
     A = presets.suq2()
     p = A.poly({tuple(w): QRat(1)})
     assert p.star().star() == p
+
+
+def test_long_word_closed_form(suq2):
+    # g* a = q^-1 a g*, so moving k letters a past k letters g* costs q^-k^2
+    k = 40
+    nf = suq2.normal_form_word(("g*",) * k + ("a",) * k)
+    assert nf == {("a",) * k + ("g*",) * k: q_power(-k * k)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["suq2", "u1"]), st.data())
+def test_normal_forms_match_leftmost_rewriting(name, data):
+    from qgalois import presets
+    A = getattr(presets, name)()
+    letters = [g.name for g in A.generators]
+    w = tuple(data.draw(st.lists(st.sampled_from(letters), max_size=14)))
+    expected = reference_normal_form(A, w, {})
+    assert A.normal_form_word(w) == expected
