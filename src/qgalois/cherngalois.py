@@ -12,7 +12,8 @@ from fractions import Fraction
 from . import structure
 from .comodule import Coaction, Corepresentation, cotensor_basis, invariant_subspace
 from .connection import StrongConnection, check_equivariance, pullback_connection
-from .linalg import RowSpace, independent_subset, invert_scalar_matrix, nullspace, vec_add
+from .linalg import (RowSpace, add_scaled, independent_subset, invert_scalar_matrix,
+                     nullspace)
 from .ncalg import EMPTY, NCPoly, Presentation, PresentationError, format_word
 from .report import Report
 from .scalars import QRat, qrat
@@ -503,7 +504,7 @@ def cotensor_compare(E: Projector, c: Corepresentation, delta: Coaction,
         combo = {}
         for coeff, col in zip(sol, vec_cols):
             if not coeff.is_zero:
-                combo = vec_add(combo, col, coeff)
+                add_scaled(combo, col, coeff)
         if combo:
             inj_ok = False
     rep.add("injectivity", inj_ok,

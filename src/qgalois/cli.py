@@ -16,10 +16,10 @@ from .cherngalois import (Functional, ProjectorError, projector, trace_rank,
                           verify_pullback_theorem)
 from .comodule import contragredient, verify_coaction
 from .connection import CoverageError, check_strong_connection
-from .ncalg import NCPoly, Presentation, PresentationError
+from .ncalg import NCPoly, Presentation, PresentationError, format_terms
 from .presfile import PresentationFileError, parse_workspace
 from .report import Report
-from .scalars import PoleError
+from .scalars import PoleError, qrat
 from .structure import verify_hopf_axioms
 
 PRESET_NAMES = ("suq2", "u1", "podles-line", "trivial-base")
@@ -71,24 +71,9 @@ def _functional(alg: Presentation, choice: str) -> Functional:
 
 
 def _specialize_poly(p: NCPoly, q0: Fraction) -> str:
-    parts = []
-    for w in p.support():
-        c = p.terms[w].evaluate(q0)
-        if c == 0:
-            continue
-        ws = " ".join(w) if w else "1"
-        mag = abs(c)
-        if ws == "1":
-            body = str(mag)
-        elif mag == 1:
-            body = ws
-        else:
-            body = f"{mag} {ws}"
-        if not parts:
-            parts.append(("-" if c < 0 else "") + body)
-        else:
-            parts.append(("- " if c < 0 else "+ ") + body)
-    return " ".join(parts) if parts else "0"
+    values = {w: qrat(c.evaluate(q0)) for w, c in p.terms.items()}
+    return format_terms(((w, c) for w, c in values.items() if not c.is_zero),
+                        p.alg.term_key)
 
 
 def _matrix_strings(entries, q0=None):

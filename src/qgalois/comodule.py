@@ -6,7 +6,7 @@ coaction built from the inverse antipode.
 from __future__ import annotations
 
 from . import structure
-from .linalg import RowSpace, invert_scalar_matrix, nullspace, vec_add
+from .linalg import RowSpace, add_scaled, invert_scalar_matrix, nullspace
 from .ncalg import EMPTY, NCPoly, Presentation, PresentationError, Word, format_word
 from .report import Report
 from .scalars import QRat, qrat
@@ -237,7 +237,8 @@ def cotensor_basis(delta: Coaction, c: Corepresentation, d: int) -> list[list[NC
     for (j, w) in variables:
         lhs = {(j, aw, hw): coeff for (aw, hw), coeff in delta.apply_word(w).terms.items()}
         rhs = {(jj, w, hw): coeff for jj in range(c.n) for hw, coeff in c[j, jj].terms.items()}
-        columns.append(vec_add(lhs, rhs, QRat(-1)))
+        add_scaled(lhs, rhs, QRat(-1))
+        columns.append(lhs)
     key_order = lambda k: (k[0], A.term_key(k[1]), H.term_key(k[2]))
     sols = nullspace(columns, key_order)
     vectors = []

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from . import structure
 from .comodule import Coaction
-from .linalg import nullspace
+from .linalg import add_scaled, nullspace
 from .ncalg import EMPTY, NCPoly, Presentation, PresentationError
 from .report import Report
 from .scalars import QRat, qrat
@@ -45,8 +45,7 @@ class TPoly:
         if self.legs != other.legs:
             raise PresentationError("t-polynomials over different tensor legs")
         out = dict(self.coeffs)
-        for k, t in other.coeffs.items():
-            out[k] = out[k] + t if k in out else t
+        add_scaled(out, other.coeffs)
         return TPoly(self.legs, out)
 
     def __sub__(self, other: "TPoly") -> "TPoly":
@@ -61,10 +60,7 @@ class TPoly:
             raise PresentationError("t-polynomials over different tensor legs")
         acc: dict[int, TensorElem] = {}
         for k1, t1 in self.coeffs.items():
-            for k2, t2 in other.coeffs.items():
-                prod = t1.tensor_mul(t2)
-                k = k1 + k2
-                acc[k] = acc[k] + prod if k in acc else prod
+            add_scaled(acc, {k1 + k2: t1.tensor_mul(t2) for k2, t2 in other.coeffs.items()})
         return TPoly(self.legs, acc)
 
     def evaluate(self, t0) -> TensorElem:

@@ -4,7 +4,8 @@ One engine, RowSpace, does every elimination; nullspaces, inverses and span
 expansions read off the expressions it records for its rows.  Pivots are
 chosen deterministically by a caller-supplied key order (term order of words
 in practice), so every reduction, rank and nullspace computation is
-reproducible bit for bit.
+reproducible bit for bit.  `add_scaled` is the one sparse accumulate, which
+the other layers sum their words and tensors through as well.
 """
 
 from __future__ import annotations
@@ -13,23 +14,28 @@ from .scalars import QRat
 
 Vec = dict  # key -> QRat, zero coefficients never stored
 
+ONE = QRat(1)
 
-def _axpy(out: Vec, b: Vec, scale: QRat | None = None) -> None:
-    """out += scale * b in place, dropping coefficients that cancel."""
-    for k, v in b.items():
-        w = v if scale is None else v * scale
-        nv = out.get(k)
-        nv = w if nv is None else nv + w
-        if nv.is_zero:
-            out.pop(k, None)
+
+def add_scaled(acc: Vec, terms: Vec, c: QRat = ONE) -> None:
+    """acc += c * terms in place, dropping coefficients that cancel.
+
+    A product with an exact 1 on either side is not computed, and terms is
+    only read.  With c = 1 the values need only `+` and `is_zero`.
+    """
+    c_one = c.num == (1,) and c.den == (1,)
+    for k, v in terms.items():
+        if not c_one:
+            v = c if v.num == (1,) and v.den == (1,) else v * c
+        old = acc.get(k)
+        if old is None:
+            acc[k] = v
         else:
-            out[k] = nv
-
-
-def vec_add(a: Vec, b: Vec, scale: QRat | None = None) -> Vec:
-    out = dict(a)
-    _axpy(out, b, scale)
-    return out
+            v = old + v
+            if v.is_zero:
+                del acc[k]
+            else:
+                acc[k] = v
 
 
 def vec_scale(a: Vec, c: QRat) -> Vec:
@@ -64,7 +70,7 @@ class RowSpace:
         rem = {k: c for k, c in v.items() if not c.is_zero}
         hits = [(self._row_of[p], c) for p, c in rem.items() if p in self._row_of]
         for i, c in hits:
-            _axpy(rem, self.rows[i], -c)
+            add_scaled(rem, self.rows[i], -c)
         return hits, rem
 
     def insert(self, v: Vec) -> bool:
@@ -75,19 +81,19 @@ class RowSpace:
         hits, rem = self._reduce(v)
         if not rem:
             return False
-        expr = {index: QRat(1)}
+        expr = {index: ONE}
         for i, c in hits:
-            _axpy(expr, self.exprs[i], -c)
+            add_scaled(expr, self.exprs[i], -c)
         p = max(rem, key=self.key_order)
-        inv = QRat(1) / rem[p]
+        inv = ONE / rem[p]
         rem = vec_scale(rem, inv)
         expr = vec_scale(expr, inv)
         # keep earlier rows fully reduced against the new one
         for i, row in enumerate(self.rows):
             d = row.get(p)
             if d is not None:
-                self.rows[i] = vec_add(row, rem, -d)
-                _axpy(self.exprs[i], expr, -d)
+                add_scaled(row, rem, -d)
+                add_scaled(self.exprs[i], expr, -d)
         self._row_of[p] = len(self.rows)
         self.rows.append(rem)
         self.pivots.append(p)
@@ -112,7 +118,7 @@ class RowSpace:
             return None
         out: Vec = {}
         for i, c in hits:
-            _axpy(out, self.exprs[i], c)
+            add_scaled(out, self.exprs[i], c)
         return out
 
     def contains(self, v: Vec) -> bool:

@@ -10,31 +10,12 @@ structural.
 
 from __future__ import annotations
 
+from .linalg import ONE, add_scaled
 from .scalars import QRat, qrat, needs_parens
 
 Word = tuple[str, ...]
 
 EMPTY: Word = ()
-
-_ONE = QRat(1)
-
-
-def _add_scaled(acc: dict, terms: dict, c: QRat) -> None:
-    """acc += c * terms in place, skipping products with an exact 1 and
-    dropping coefficients that cancel."""
-    c_one = c.num == (1,) and c.den == (1,)
-    for w, v in terms.items():
-        if not c_one:
-            v = c if v.num == (1,) and v.den == (1,) else v * c
-        old = acc.get(w)
-        if old is None:
-            acc[w] = v
-        else:
-            v = old + v
-            if v.is_zero:
-                del acc[w]
-            else:
-                acc[w] = v
 
 
 class PresentationError(ValueError):
@@ -146,10 +127,8 @@ class Presentation:
         for r in self.rules:
             # star the formal relation lhs - rhs, then reduce; nonzero rest
             # means the starred relation is not a consequence of the system
-            starred: dict = {self.star_word(r.lhs): QRat(1)}
-            for w, c in r.rhs.items():
-                sw = self.star_word(w)
-                starred[sw] = starred.get(sw, QRat(0)) - c
+            starred: dict = {self.star_word(r.lhs): ONE}
+            add_scaled(starred, {self.star_word(w): c for w, c in r.rhs.items()}, -ONE)
             if self.normalize_terms(starred):
                 raise PresentationError(
                     f"relations are not *-closed at rule {' '.join(r.lhs)}")
@@ -201,20 +180,20 @@ class Presentation:
             return res
         r = self._rule_ending(wx, len(wx))
         if r is None:
-            res = {wx: _ONE}
+            res = {wx: ONE}
         else:
             pre = wx[:len(wx) - len(r.lhs)]
             res = {}
             # the fold is written out here, not shared with normal_form_word,
             # so that each seam step costs one stack frame
             for rw, c in r.rhs.items():
-                terms = {pre: _ONE}
+                terms = {pre: ONE}
                 for y in rw:
                     nxt: dict = {}
                     for v, cv in terms.items():
-                        _add_scaled(nxt, self._append(v, y), cv)
+                        add_scaled(nxt, self._append(v, y), cv)
                     terms = nxt
-                _add_scaled(res, terms, c)
+                add_scaled(res, terms, c)
         self._seam[wx] = res
         return res
 
@@ -230,11 +209,11 @@ class Presentation:
         n = 0
         while n < len(w) and self._rule_ending(w, n + 1) is None:
             n += 1
-        res = {w[:n]: _ONE}
+        res = {w[:n]: ONE}
         for x in w[n:]:
             nxt: dict = {}
             for v, cv in res.items():
-                _add_scaled(nxt, self._append(v, x), cv)
+                add_scaled(nxt, self._append(v, x), cv)
             res = nxt
         self._nf_cache[w] = res
         return res
@@ -244,7 +223,7 @@ class Presentation:
         for w, c in terms.items():
             c = qrat(c)
             if not c.is_zero:
-                _add_scaled(acc, self.normal_form_word(tuple(w)), c)
+                add_scaled(acc, self.normal_form_word(tuple(w)), c)
         return acc
 
     # -- graded bases -----------------------------------------------------------
@@ -350,13 +329,7 @@ class NCPoly:
             other = self.alg.poly({EMPTY: qrat(other)})
         self._check_same(other)
         acc = dict(self.terms)
-        for w, c in other.terms.items():
-            v = acc.get(w)
-            v = c if v is None else v + c
-            if v.is_zero:
-                acc.pop(w, None)
-            else:
-                acc[w] = v
+        add_scaled(acc, other.terms)
         return NCPoly(self.alg, acc, normal=True)
 
     __radd__ = __add__
@@ -379,11 +352,7 @@ class NCPoly:
         self._check_same(other)
         acc: dict = {}
         for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                c = c1 * c2
-                v = acc.get(w)
-                acc[w] = c if v is None else v + c
+            add_scaled(acc, {w1 + w2: c2 for w2, c2 in other.terms.items()}, c1)
         return NCPoly(self.alg, acc)
 
     def __rmul__(self, other):
@@ -429,7 +398,7 @@ class NCPoly:
     # -- formatting ---------------------------------------------------------------
 
     def __str__(self):
-        return format_terms(((w, c) for w, c in self.terms.items()), self.alg)
+        return format_terms(self.terms.items(), self.alg.term_key)
 
     def __repr__(self):
         return f"<{self.alg.name}: {self}>"
@@ -439,28 +408,27 @@ def format_word(w: Word) -> str:
     return " ".join(w) if w else "1"
 
 
-def format_terms(items, alg: Presentation, word_formatter=format_word, sort_key=None) -> str:
-    """Render (word, coefficient) pairs in the shared expression grammar."""
-    items = sorted(items, key=(lambda it: alg.term_key(it[0])) if sort_key is None
-                   else (lambda it: sort_key(it[0])))
+def format_terms(items, sort_key, word_formatter=format_word) -> str:
+    """Render (word, coefficient) pairs in the shared expression grammar,
+    sorted by sort_key of the word.  Only the empty word prints as a bare
+    coefficient; any other word formatting to 1, such as the unit of a
+    tensor, keeps its coefficient in front."""
+    items = sorted(items, key=lambda it: sort_key(it[0]))
     if not items:
         return "0"
     parts = []
     for w, c in items:
         neg = c.is_negative
         mag = abs(c)
-        ws = word_formatter(w)
-        if ws == "1":
-            body = str(mag)
-            if needs_parens(body):
-                body = f"({body})"
-        elif mag == QRat(1):
-            body = ws
+        cs = str(mag)
+        if needs_parens(cs):
+            cs = f"({cs})"
+        if w == EMPTY:
+            body = cs
+        elif mag == ONE:
+            body = word_formatter(w)
         else:
-            cs = str(mag)
-            if needs_parens(cs):
-                cs = f"({cs})"
-            body = f"{cs} {ws}"
+            body = f"{cs} {word_formatter(w)}"
         if not parts:
             parts.append(("-" if neg else "") + body)
         else:

@@ -10,6 +10,7 @@ from functools import lru_cache
 
 from .comodule import Coaction, Corepresentation, regular_coaction
 from .connection import CoalgebraSpan, StrongConnection
+from .linalg import add_scaled
 from .ncalg import NCPoly, Presentation
 from .presfile import Workspace, parse_workspace
 from .scalars import QRat, q_power
@@ -175,14 +176,9 @@ def _ell_u_inv() -> TensorElem:
 def _sandwich(outer: TensorElem, inner: TensorElem) -> TensorElem:
     """l(u^{n+s}) = l(u^s)^<1> l(u^n)^<1> (x) l(u^n)^<2> l(u^s)^<2>."""
     acc: dict = {}
-    legs = inner.legs
     for (o1, o2), c1 in outer.terms.items():
-        for (i1, i2), c2 in inner.terms.items():
-            key = (o1 + i1, i2 + o2)
-            c = c1 * c2
-            prev = acc.get(key)
-            acc[key] = c if prev is None else prev + c
-    return TensorElem(legs, acc)
+        add_scaled(acc, {(o1 + i1, i2 + o2): c2 for (i1, i2), c2 in inner.terms.items()}, c1)
+    return TensorElem(inner.legs, acc)
 
 
 def _u_power_word(H: Presentation, n: int):
@@ -225,9 +221,3 @@ def fibration_connection(max_abs: int) -> StrongConnection:
     delta = fibration_coaction()
     span = CoalgebraSpan(u1(), [e for e, _ in pairs])
     return StrongConnection.from_table(span, delta, pairs, name=f"u1-fibration-{max_abs}")
-
-
-def intertwiner_q() -> list[list[QRat]]:
-    """The scalar matrix conjugating the fundamental corepresentation to its
-    contragredient."""
-    return [[QRat(0), -q_power(1)], [QRat(1), QRat(0)]]

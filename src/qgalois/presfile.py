@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from .comodule import Coaction, Corepresentation
 from .connection import CoalgebraSpan, StrongConnection, TableLineError
+from .linalg import ONE, add_scaled
 from .ncalg import Generator, NCPoly, Presentation, PresentationError
 from .scalars import QRat, qrat
 from .structure import Morphism, attach_hopf
@@ -80,27 +81,10 @@ def _t_const(c) -> dict:
     return {} if c.is_zero else {0: c}
 
 
-def _t_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        w = out.get(k, QRat(0)) + v
-        if w.is_zero:
-            out.pop(k, None)
-        else:
-            out[k] = w
-    return out
-
-
 def _t_mul(a: dict, b: dict) -> dict:
     out: dict = {}
     for k1, v1 in a.items():
-        for k2, v2 in b.items():
-            k = k1 + k2
-            w = out.get(k, QRat(0)) + v1 * v2
-            if w.is_zero:
-                out.pop(k, None)
-            else:
-                out[k] = w
+        add_scaled(out, {k1 + k2: v2 for k2, v2 in b.items()}, v1)
     return out
 
 
@@ -133,12 +117,9 @@ class _ExprParser:
         v = self.scalar_term()
         while True:
             kind, _ = self.peek()
-            if kind == "+":
+            if kind in ("+", "-"):
                 self.next()
-                v = _t_add(v, self.scalar_term())
-            elif kind == "-":
-                self.next()
-                v = _t_add(v, _t_neg(self.scalar_term()))
+                add_scaled(v, self.scalar_term(), ONE if kind == "+" else -ONE)
             else:
                 return v
 
@@ -235,8 +216,10 @@ def _split_terms(toks, filename: str, line: int):
             sign = 1 if kind == "+" else -1
             prev = kind
             continue
-        if not current and kind in "+-" and prev is None:
-            sign = 1 if kind == "+" else -1
+        if not current and kind in "+-" and prev in (None, "+", "-"):
+            # a unary sign opening a term, after a binary one or none
+            if kind == "-":
+                sign = -sign
             prev = kind
             continue
         current.append(tok)
@@ -308,7 +291,7 @@ def parse_expression(text: str, legs, allow_t: bool = False,
                 word.append(tok[1])
             words.append(tuple(word))
         key = tuple(words)
-        acc[key] = _t_add(acc.get(key, {}), coeff)
+        add_scaled(acc.setdefault(key, {}), coeff)
     return {k: v for k, v in acc.items() if v}
 
 
@@ -402,10 +385,16 @@ def parse_workspace(text: str, filename: str = "<string>") -> Workspace:
     return ws
 
 
-def _header_fields(block, filename, expect: str):
+def _header_fields(block, filename: str, usage: str) -> list[str]:
+    """The words of a block header, checked against usage: an upper-case word
+    of usage stands for a field, any other word must appear as written, and
+    a bracketed tail is optional."""
     parts = block["header"].split()
-    if len(parts) < 2:
-        raise PresentationFileError(f"{expect} block needs a name", filename, block["line"])
+    pattern = usage.split("[")[0].split()
+    if len(parts) < len(pattern) or any(
+            p != f and not p.isupper() for p, f in zip(pattern, parts)):
+        raise PresentationFileError(f"{pattern[0]} header must read '{usage}'",
+                                    filename, block["line"])
     return parts
 
 
@@ -417,8 +406,7 @@ def _split_assign(text: str, filename: str, line: int):
 
 
 def _build_algebra(ws: Workspace, block, filename: str):
-    parts = _header_fields(block, filename, "algebra")
-    name = parts[1]
+    name = _header_fields(block, filename, "algebra NAME")[1]
     gen_names: list[str] = []
     stars: dict[str, str] = {}
     weights: dict[str, int] = {}
@@ -517,20 +505,8 @@ def _build_algebra(ws: Workspace, block, filename: str):
 
 
 def _build_coaction(ws: Workspace, block, filename: str):
-    parts = _header_fields(block, filename, "coaction")
-    # coaction NAME : A -> A (x) H
-    try:
-        name = parts[1]
-        assert parts[2] == ":"
-        src = parts[3]
-        assert parts[4] == "->"
-        dst = parts[5]
-        assert parts[6] == "(x)"
-        struct = parts[7]
-    except (IndexError, AssertionError):
-        raise PresentationFileError("coaction header must read "
-                                    "'coaction NAME : A -> A (x) H'",
-                                    filename, block["line"]) from None
+    parts = _header_fields(block, filename, "coaction NAME : A -> A (x) H")
+    name, src, dst, struct = parts[1], parts[3], parts[5], parts[7]
     if src != dst:
         raise PresentationFileError("coaction must target its own algebra",
                                     filename, block["line"])
@@ -553,13 +529,13 @@ def _build_coaction(ws: Workspace, block, filename: str):
 
 
 def _build_corep(ws: Workspace, block, filename: str):
-    parts = _header_fields(block, filename, "corep")
+    usage = "corep NAME dim N [over ALG]"
+    parts = _header_fields(block, filename, usage)
+    name = parts[1]
     try:
-        name = parts[1]
-        assert parts[2] == "dim"
         dim = int(parts[3])
-    except (IndexError, AssertionError, ValueError):
-        raise PresentationFileError("corep header must read 'corep NAME dim N [over ALG]'",
+    except ValueError:
+        raise PresentationFileError(f"corep header must read '{usage}'",
                                     filename, block["line"]) from None
     if len(parts) >= 6 and parts[4] == "over":
         alg_name = parts[5]
@@ -586,15 +562,8 @@ def _build_corep(ws: Workspace, block, filename: str):
 
 
 def _build_connection(ws: Workspace, block, filename: str):
-    parts = _header_fields(block, filename, "connection")
-    try:
-        name = parts[1]
-        assert parts[2] == "on"
-        coaction_name = parts[3]
-    except (IndexError, AssertionError):
-        raise PresentationFileError("connection header must read "
-                                    "'connection NAME on COACTION'",
-                                    filename, block["line"]) from None
+    parts = _header_fields(block, filename, "connection NAME on COACTION")
+    name, coaction_name = parts[1], parts[3]
     if coaction_name not in ws.coactions:
         raise PresentationFileError(f"unknown coaction {coaction_name!r}",
                                     filename, block["line"])
@@ -623,16 +592,8 @@ def _build_connection(ws: Workspace, block, filename: str):
 
 
 def _build_morphism(ws: Workspace, block, filename: str):
-    parts = _header_fields(block, filename, "morphism")
-    try:
-        name = parts[1]
-        assert parts[2] == ":"
-        src = parts[3]
-        assert parts[4] == "->"
-        dst = parts[5]
-    except (IndexError, AssertionError):
-        raise PresentationFileError("morphism header must read 'morphism NAME : A -> B'",
-                                    filename, block["line"]) from None
+    parts = _header_fields(block, filename, "morphism NAME : A -> B")
+    name, src, dst = parts[1], parts[3], parts[5]
     if src not in ws.algebras or dst not in ws.algebras:
         raise PresentationFileError("morphism references unknown algebras",
                                     filename, block["line"])

@@ -193,11 +193,9 @@ def verify_hopf_axioms(alg: Presentation) -> Report:
 
 
 def _star_tensor(t: TensorElem) -> TensorElem:
-    acc: dict = {}
-    for k, c in t.terms.items():
-        kk = tuple(leg.star_word(w) for leg, w in zip(t.legs, k))
-        acc[kk] = acc.get(kk, QRat(0)) + c
-    return TensorElem(t.legs, acc)
+    # star_word is a bijection on words, so no two keys meet
+    return TensorElem(t.legs, {tuple(leg.star_word(w) for leg, w in zip(t.legs, k)): c
+                               for k, c in t.terms.items()})
 
 
 class Morphism:

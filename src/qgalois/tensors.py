@@ -6,8 +6,9 @@ tagged with the presentation it lives in and kept in normal form.
 
 from __future__ import annotations
 
-from .ncalg import EMPTY, NCPoly, Presentation, format_word
-from .scalars import QRat, needs_parens, qrat
+from .linalg import ONE, add_scaled
+from .ncalg import EMPTY, NCPoly, Presentation, format_terms, format_word
+from .scalars import QRat, qrat
 
 
 class LegMismatchError(ValueError):
@@ -39,18 +40,12 @@ class TensorElem:
             if len(key) != len(legs):
                 raise LegMismatchError("tensor key length does not match leg count")
             # normalize each leg word, then distribute the product of parts
-            expanded = [((), QRat(1))]
+            expanded = {(): ONE}
             for leg, w in zip(legs, key):
                 nf = leg.normal_form_word(w)
-                expanded = [(pref + (w2,), cp * c2)
-                            for pref, cp in expanded for w2, c2 in nf.items()]
-            for full, cp in expanded:
-                v = acc.get(full)
-                v = c * cp if v is None else v + c * cp
-                if v.is_zero:
-                    acc.pop(full, None)
-                else:
-                    acc[full] = v
+                expanded = {pref + (w2,): cp * c2
+                            for pref, cp in expanded.items() for w2, c2 in nf.items()}
+            add_scaled(acc, expanded, c)
         return acc
 
     @classmethod
@@ -82,13 +77,7 @@ class TensorElem:
     def __add__(self, other: "TensorElem") -> "TensorElem":
         self._check_legs(other)
         acc = dict(self.terms)
-        for k, c in other.terms.items():
-            v = acc.get(k)
-            v = c if v is None else v + c
-            if v.is_zero:
-                acc.pop(k, None)
-            else:
-                acc[k] = v
+        add_scaled(acc, other.terms)
         return TensorElem(self.legs, acc, normal=True)
 
     def __sub__(self, other: "TensorElem") -> "TensorElem":
@@ -120,11 +109,8 @@ class TensorElem:
         self._check_legs(other)
         acc: dict = {}
         for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                k = tuple(w1 + w2 for w1, w2 in zip(k1, k2))
-                c = c1 * c2
-                v = acc.get(k)
-                acc[k] = c if v is None else v + c
+            add_scaled(acc, {tuple(w1 + w2 for w1, w2 in zip(k1, k2)): c2
+                             for k2, c2 in other.terms.items()}, c1)
         return TensorElem(self.legs, acc)
 
     def outer(self, other: "TensorElem") -> "TensorElem":
@@ -158,11 +144,7 @@ class TensorElem:
             img = fn(k[i])
             if out_leg is None:
                 out_leg = img.alg
-            for w, c2 in img.terms.items():
-                kk = k[:i] + (w,) + k[i + 1:]
-                v = acc.get(kk)
-                cc = c * c2
-                acc[kk] = cc if v is None else v + cc
+            add_scaled(acc, {k[:i] + (w,) + k[i + 1:]: c2 for w, c2 in img.terms.items()}, c)
         if out_leg is None:
             out_leg = legs[i]
         legs[i] = out_leg
@@ -176,11 +158,7 @@ class TensorElem:
             img = fn(k[i])
             if legs is None:
                 legs = self.legs[:i] + img.legs + self.legs[i + 1:]
-            for kk, c2 in img.terms.items():
-                full = k[:i] + kk + k[i + 1:]
-                v = acc.get(full)
-                cc = c * c2
-                acc[full] = cc if v is None else v + cc
+            add_scaled(acc, {k[:i] + kk + k[i + 1:]: c2 for kk, c2 in img.terms.items()}, c)
         if legs is None:
             if legs_hint is None:
                 raise LegMismatchError("cannot expand a leg of the zero tensor "
@@ -194,17 +172,8 @@ class TensorElem:
         acc: dict = {}
         for k, c in self.terms.items():
             s = fn(k[i])
-            if s.is_zero:
-                continue
-            kk = k[:i] + k[i + 1:]
-            v = acc.get(kk)
-            cc = c * s
-            if v is not None:
-                cc = v + cc
-            if cc.is_zero:
-                acc.pop(kk, None)
-            else:
-                acc[kk] = cc
+            if not s.is_zero:
+                add_scaled(acc, {k[:i] + k[i + 1:]: c}, s)
         if len(legs) == 0:
             raise LegMismatchError("cannot contract the last leg; use scalar_value")
         if len(legs) == 1:
@@ -234,9 +203,7 @@ class TensorElem:
                 raise LegMismatchError("legs live in different presentations")
         acc: dict = {}
         for k, c in self.terms.items():
-            w = sum(k, ())
-            v = acc.get(w)
-            acc[w] = c if v is None else v + c
+            add_scaled(acc, {sum(k, ()): c})
         return NCPoly(alg, acc)
 
     def to_poly(self) -> NCPoly:
@@ -250,26 +217,8 @@ class TensorElem:
         return tuple(leg.term_key(w) for leg, w in zip(self.legs, key))
 
     def __str__(self):
-        items = sorted(self.terms.items(), key=lambda it: self.sort_key(it[0]))
-        if not items:
-            return "0"
-        parts = []
-        for k, c in items:
-            neg = c.is_negative
-            mag = abs(c)
-            ws = " (x) ".join(format_word(w) for w in k)
-            if mag == QRat(1):
-                body = ws
-            else:
-                cs = str(mag)
-                if needs_parens(cs):
-                    cs = f"({cs})"
-                body = f"{cs} {ws}"
-            if not parts:
-                parts.append(("-" if neg else "") + body)
-            else:
-                parts.append(("- " if neg else "+ ") + body)
-        return " ".join(parts)
+        return format_terms(self.terms.items(), self.sort_key,
+                            lambda k: " (x) ".join(map(format_word, k)))
 
     def __repr__(self):
         return f"<tensor {self}>"

@@ -1,6 +1,7 @@
 import pytest
 
 from qgalois import presets
+from qgalois.scalars import QRat, q_power
 
 
 @pytest.fixture(scope="session")
@@ -36,3 +37,10 @@ def fundamental():
 @pytest.fixture(scope="session")
 def collapse():
     return presets.collapse_morphism()
+
+
+@pytest.fixture(scope="session")
+def intertwiner_q():
+    """The scalar matrix conjugating the fundamental corepresentation to its
+    contragredient."""
+    return [[QRat(0), -q_power(1)], [QRat(1), QRat(0)]]

@@ -111,11 +111,11 @@ def test_criterion_5_pullback_theorem():
         assert art["E_prime"].entries == [[U.one()]]
 
 
-def test_criterion_6_corep_equivalence_and_similarity():
+def test_criterion_6_corep_equivalence_and_similarity(intertwiner_q):
     with criterion(6, "corepresentation equivalence", 20.0):
         u = presets.fundamental_corep()
         dual = contragredient(u)
-        Q = presets.intertwiner_q()
+        Q = intertwiner_q
         assert corep_equivalence(u, dual, Q).ok
         A = presets.suq2()
         E = projector(presets.trivial_connection_suq2(), u,

@@ -240,11 +240,11 @@ def test_pullback_theorem_rejects_non_equivariant(fibration, regular_u1, suq2, u
     assert any(c.name == "equivariance" for c in rep.failures())
 
 
-def test_projector_similarity(regular_suq2, fundamental, suq2):
+def test_projector_similarity(regular_suq2, fundamental, suq2, intertwiner_q):
     ell = presets.trivial_connection_suq2()
     phi = Functional.constant_term(suq2)
     E = projector(ell, fundamental, phi, regular_suq2)
-    rep = projector_similarity(E, presets.intertwiner_q())
+    rep = projector_similarity(E, intertwiner_q)
     assert rep.ok
     ident = [[QRat(1), QRat(0)], [QRat(0), QRat(1)]]
     assert projector_similarity(E, ident).ok

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qgalois import presets
@@ -60,6 +61,21 @@ def test_projector_at_q_one(capsys):
     assert code == 0
     assert '[["1 - g g*", "a g*"], ["a* g", "g g*"]]' in out
     assert "RANK 1" in out
+
+
+@pytest.mark.parametrize("n, q, line", [
+    ("2", "2", '[["1 - 20 g g* + 64 g g g* g*", "a g* - 4 a g g* g*", "a a g* g*"], '
+               '["10 a* g - 160 a* g g g*", "5 g g* - 20 g g g* g*", "5/2 a g g* g*"], '
+               '["16 a* a* g g", "4 a* g g g*", "g g g* g*"]]'),
+    ("-2", "1/3", '[["1/81 g g g* g*", "1/9 a g g* g*", "a a g* g*"], '
+                  '["10/27 a* g g g*", "10/9 g g* - 10/9 g g g* g*", '
+                  '"10/3 a g* - 30 a g g* g*"], '
+                  '["a* a* g g", "a* g - a* g g g*", "1 - 10 g g* + 9 g g g* g*"]]'),
+])
+def test_projector_at_rational_q(capsys, n, q, line):
+    code, out, _ = run(capsys, "projector", "--preset", "podles-line", n, "--q", q)
+    assert code == 0
+    assert f"MATRIX_AT_Q {line}\n" in out
 
 
 def test_projector_rejects_q_zero(capsys):
@@ -326,6 +342,22 @@ def test_huge_exponent_is_an_input_error(tmp_path):
     assert proc.returncode == 2
     line = presets.SUQ2_SOURCE[:presets.SUQ2_SOURCE.index("rel a* a")].count("\n") + 1
     assert f"power.alg:{line}: exponent 100000 exceeds the limit 1000" in proc.stderr
+
+
+def test_malformed_header_is_an_input_error_under_optimization(tmp_path):
+    # header fields are checked by code that python -O keeps
+    f = tmp_path / "header.alg"
+    fibration = presets.FIBRATION_SOURCE.replace("coaction fibration : suq2 -> suq2 (x) u1",
+                                                 "coaction fibration = suq2 => suq2 (x) u1")
+    assert fibration != presets.FIBRATION_SOURCE
+    f.write_text(presets.SUQ2_SOURCE + presets.U1_SOURCE + fibration)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-O", "-m", "qgalois.cli", "verify", "--input",
+                           str(f)], capture_output=True, text=True, timeout=10, env=env)
+    assert proc.returncode == 2
+    assert "coaction header must read 'coaction NAME : A -> A (x) H'" in proc.stderr
 
 
 # A valid file: B is the circle Hopf algebra on b, c = b*, coacting on itself,

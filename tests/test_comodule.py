@@ -114,9 +114,9 @@ def test_contragredient_twice_is_s_squared(fundamental):
             assert twice[i, j] == s2
 
 
-def test_corep_equivalence(fundamental):
+def test_corep_equivalence(fundamental, intertwiner_q):
     dual = contragredient(fundamental)
-    Q = presets.intertwiner_q()
+    Q = intertwiner_q
     assert corep_equivalence(fundamental, dual, Q).ok
     ident = [[QRat(1), QRat(0)], [QRat(0), QRat(1)]]
     assert corep_equivalence(fundamental, fundamental, ident).ok

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from qgalois.linalg import (RowSpace, independent_subset, invert_scalar_matrix,
-                            nullspace, vec_add)
+from qgalois.linalg import (RowSpace, add_scaled, independent_subset,
+                            invert_scalar_matrix, nullspace)
 from qgalois.scalars import QRat, q_power
 
 # entries over Q(q): 0 (three times, for sparsity), +-1, +-q, q^-1, 1 + q
@@ -34,7 +34,7 @@ def combination(coeffs, vectors):
     out = {}
     for c, v in zip(coeffs, vectors):
         if not c.is_zero:
-            out = vec_add(out, v, c)
+            add_scaled(out, v, c)
     return out
 
 
@@ -148,3 +148,23 @@ def test_rowspace_express(seed):
         assert space.coordinates(outside) is None
         assert not space.contains(outside)
     assert space.express({}) == {}
+
+
+def test_add_scaled():
+    q = q_power(1)
+    terms = {"x": q, "y": QRat(1), "z": QRat(2)}
+    frozen = dict(terms)
+    acc = {"x": -q * 3, "w": QRat(5)}
+    add_scaled(acc, terms, QRat(3))
+    # x cancels and is removed; y had coefficient exactly 1, so it takes 3 itself
+    assert acc == {"w": QRat(5), "y": QRat(3), "z": QRat(6)}
+    assert terms == frozen
+    # with the default scale 1 the values are stored without a product
+    acc = {}
+    add_scaled(acc, terms)
+    assert acc == terms and all(acc[k] is terms[k] for k in terms)
+    assert terms == frozen
+    three = QRat(3)
+    acc = {}
+    add_scaled(acc, {"y": QRat(1)}, three)
+    assert acc["y"] is three

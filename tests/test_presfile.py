@@ -25,6 +25,12 @@ def test_parse_element_terms(suq2):
     assert parse_element(suq2, "0^3 a").is_zero
     assert parse_element(suq2, "0^0 a") == suq2.gen("a")
     assert parse_element(suq2, "(1+q)^3 a") == suq2.gen("a") * (q_power(1) + 1) ** 3
+    # a unary sign may open any term, as in scalars
+    a, g = suq2.gen("a"), suq2.gen("g")
+    assert parse_element(suq2, "a + -g") == a - g
+    assert parse_element(suq2, "a - -g") == a + g
+    assert parse_element(suq2, "a - +q g") == a - g * q_power(1)
+    assert parse_element(suq2, "- -a") == a
     assert parse_expression("(1-t)^2 a", [suq2], allow_t=True) == \
         {(("a",),): {0: QRat(1), 1: QRat(-2), 2: QRat(1)}}
 

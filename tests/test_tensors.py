@@ -65,3 +65,14 @@ def test_grouped_slices(suq2):
     by_first = d.grouped(0)
     assert set(by_first) == {("a",), ("g*",)}
     assert by_first[("g*",)] == suq2.gen("g") * (-q_power(1))
+
+
+def test_str_formats(suq2, u1):
+    # a unit key on one leg still prints its word 1 after the coefficient
+    t = TensorElem((suq2,), {((),): QRat(1) + q_power(1), (("a",),): QRat(-1)})
+    assert str(t) == "(q+1) 1 - a"
+    t = TensorElem((suq2, u1), {(("a",), ("u",)): -(QRat(1) + q_power(1)),
+                                (("g*",), ("u*",)): q_power(-1) - q_power(1),
+                                ((), ()): QRat(-1), (("g",), ()): QRat(3) / QRat(2)})
+    assert str(t) == "-1 (x) 1 - (q+1) a (x) u + 3/2 g (x) 1 - (q^2-1)/q g* (x) u*"
+    assert str(TensorElem.zero((suq2, u1))) == "0"
