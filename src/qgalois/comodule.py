@@ -7,7 +7,8 @@ from __future__ import annotations
 
 from . import structure
 from .linalg import RowSpace, add_scaled, invert_scalar_matrix, nullspace
-from .ncalg import EMPTY, NCPoly, Presentation, PresentationError, Word, format_word
+from .ncalg import (EMPTY, NCPoly, Presentation, PresentationError, Word, extend_word,
+                    format_word)
 from .report import Report
 from .scalars import QRat, qrat
 from .tensors import TensorElem
@@ -29,17 +30,10 @@ class Coaction:
                 raise PresentationError(f"coaction value for {g.name!r} has wrong legs")
             self.table[g.name] = t
         self.verified = False
-        self._cache: dict[Word, TensorElem] = {}
+        self._cache: dict[Word, TensorElem] = {EMPTY: TensorElem.unit((A, H))}
 
     def apply_word(self, w: Word) -> TensorElem:
-        cached = self._cache.get(w)
-        if cached is not None:
-            return cached
-        out = TensorElem.unit((self.A, self.H))
-        for g in w:
-            out = out.tensor_mul(self.table[g])
-        self._cache[w] = out
-        return out
+        return extend_word(self._cache, w, lambda out, g: out.tensor_mul(self.table[g]))
 
     def apply(self, p: NCPoly) -> TensorElem:
         if p.alg is not self.A:

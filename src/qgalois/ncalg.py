@@ -305,6 +305,36 @@ class Presentation:
         return {pre + rw + post: c for rw, c in r.rhs.items()}
 
 
+def extend_word(cache: dict, w: Word, step, reverse: bool = False):
+    """The image f(w) of a word under a map f extended multiplicatively from
+    its letters, or anti-multiplicatively with `reverse`.
+
+    f(w) = step(f(w[:-1]), w[-1]), or step(f(w[1:]), w[0]) with reverse.
+    `cache` maps words to their images and must hold the unit at EMPTY.  The
+    fold starts from the longest prefix (suffix with reverse) of w in the
+    cache and caches each longer one, so every image is built by the same
+    products, in the same order, as a fold from the unit.
+    """
+    out = cache.get(w)
+    if out is not None:
+        return out
+    n = len(w)
+    k = n - 1
+    while k > 0 and (out := cache.get(w[n - k:] if reverse else w[:k])) is None:
+        k -= 1
+    if k <= 0:
+        k, out = 0, cache[EMPTY]
+    for j in range(k, n):
+        if reverse:
+            key = w[n - 1 - j:]
+            out = step(out, key[0])
+        else:
+            key = w[:j + 1]
+            out = step(out, key[-1])
+        cache[key] = out
+    return out
+
+
 class NCPoly:
     """Noncommutative polynomial over a presentation, stored in normal form."""
 

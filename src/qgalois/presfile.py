@@ -203,27 +203,30 @@ def _split_terms(toks, filename: str, line: int):
     sign = 1
     depth = 0
     prev = None
+    opening = True  # at the start of a term or of one of its tensor legs
     for tok in toks:
         kind = tok[0]
         if kind == "(":
             depth += 1
         elif kind == ")":
             depth -= 1
-        if depth == 0 and kind in "+-" and prev is not None and \
+        if depth == 0 and kind in "+-" and not opening and \
                 prev not in ("+", "-", "*", "/", "^", "("):
             terms.append((sign, current))
             current = []
             sign = 1 if kind == "+" else -1
             prev = kind
+            opening = True
             continue
-        if not current and kind in "+-" and prev in (None, "+", "-"):
-            # a unary sign opening a term, after a binary one or none
+        if opening and kind in "+-":
+            # a unary sign opening a term or a leg folds into the term's sign
             if kind == "-":
                 sign = -sign
             prev = kind
             continue
         current.append(tok)
         prev = kind
+        opening = kind == "tensor" and depth == 0
     terms.append((sign, current))
     return [t for t in terms if t[1]]
 

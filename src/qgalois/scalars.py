@@ -230,6 +230,8 @@ class QRat:
             raise ZeroDivisionError("zero denominator in Q(q)")
         if not n:
             return (), (1,)
+        if d == (1,):
+            return n, d
         g = _pgcd(n, d)
         if g != (1,):
             n = _pdiv_exact(n, g)
@@ -268,6 +270,11 @@ class QRat:
 
     def __mul__(self, other):
         other = qrat(other)
+        # values are immutable, so a factor exactly 1 returns the other one
+        if self.num == (1,) and self.den == (1,):
+            return other
+        if other.num == (1,) and other.den == (1,):
+            return self
         return QRat._make(_pmul(self.num, other.num), _pmul(self.den, other.den))
 
     __rmul__ = __mul__

@@ -6,14 +6,15 @@ every degree.
 
 from __future__ import annotations
 
-from .ncalg import NCPoly, Presentation, PresentationError, Word, format_word
+from .ncalg import EMPTY, NCPoly, Presentation, PresentationError, Word, extend_word, format_word
 from .report import Report
 from .scalars import QRat, qrat
 from .tensors import TensorElem
 
 
 class HopfData:
-    """Generator tables for Delta, eps, S and S^-1, with per-word caches."""
+    """Generator tables for Delta, eps, S and S^-1, with per-word caches that
+    hold the image of every prefix (suffix for S and S^-1) met so far."""
 
     __slots__ = ("alg", "delta", "counit", "antipode", "antipode_inv",
                  "_delta_cache", "_s_cache", "_sinv_cache")
@@ -31,9 +32,9 @@ class HopfData:
         self.counit = {g: qrat(c) for g, c in counit.items()}
         self.antipode = dict(antipode)
         self.antipode_inv = dict(antipode_inv)
-        self._delta_cache: dict[Word, TensorElem] = {}
-        self._s_cache: dict[Word, NCPoly] = {}
-        self._sinv_cache: dict[Word, NCPoly] = {}
+        self._delta_cache: dict[Word, TensorElem] = {EMPTY: TensorElem.unit((alg, alg))}
+        self._s_cache: dict[Word, NCPoly] = {EMPTY: alg.one()}
+        self._sinv_cache: dict[Word, NCPoly] = {EMPTY: alg.one()}
 
 
 def attach_hopf(alg: Presentation, delta, counit, antipode, antipode_inv) -> HopfData:
@@ -49,14 +50,7 @@ def _require_hopf(alg: Presentation) -> HopfData:
 
 def coproduct_word(alg: Presentation, w: Word) -> TensorElem:
     h = _require_hopf(alg)
-    cached = h._delta_cache.get(w)
-    if cached is not None:
-        return cached
-    out = TensorElem.unit((alg, alg))
-    for g in w:
-        out = out.tensor_mul(h.delta[g])
-    h._delta_cache[w] = out
-    return out
+    return extend_word(h._delta_cache, w, lambda out, g: out.tensor_mul(h.delta[g]))
 
 
 def coproduct(p: NCPoly, parts: int = 2) -> TensorElem:
@@ -89,15 +83,8 @@ def counit(p: NCPoly) -> QRat:
     return out
 
 
-def _anti_extend(alg: Presentation, table: dict, cache: dict, w: Word) -> NCPoly:
-    cached = cache.get(w)
-    if cached is not None:
-        return cached
-    out = alg.one()
-    for g in reversed(w):
-        out = out * table[g]
-    cache[w] = out
-    return out
+def _anti_extend(table: dict, cache: dict, w: Word) -> NCPoly:
+    return extend_word(cache, w, lambda out, g: out * table[g], reverse=True)
 
 
 def antipode(p: NCPoly) -> NCPoly:
@@ -105,7 +92,7 @@ def antipode(p: NCPoly) -> NCPoly:
     h = _require_hopf(p.alg)
     out = p.alg.zero()
     for w, c in p.terms.items():
-        out = out + _anti_extend(p.alg, h.antipode, h._s_cache, w) * c
+        out = out + _anti_extend(h.antipode, h._s_cache, w) * c
     return out
 
 
@@ -113,7 +100,7 @@ def antipode_inv(p: NCPoly) -> NCPoly:
     h = _require_hopf(p.alg)
     out = p.alg.zero()
     for w, c in p.terms.items():
-        out = out + _anti_extend(p.alg, h.antipode_inv, h._sinv_cache, w) * c
+        out = out + _anti_extend(h.antipode_inv, h._sinv_cache, w) * c
     return out
 
 
@@ -140,8 +127,8 @@ def verify_hopf_axioms(alg: Presentation) -> Report:
         for w, c in rel_words:
             dt = dt + coproduct_word(alg, w) * c
             ct = ct + counit_word(alg, w) * c
-            st = st + _anti_extend(alg, h.antipode, h._s_cache, w) * c
-            sit = sit + _anti_extend(alg, h.antipode_inv, h._sinv_cache, w) * c
+            st = st + _anti_extend(h.antipode, h._s_cache, w) * c
+            sit = sit + _anti_extend(h.antipode_inv, h._sinv_cache, w) * c
         ok = dt.is_zero and ct.is_zero and st.is_zero and sit.is_zero
         rep.add(f"relation-compat {' '.join(r.lhs)}", ok,
                 "structure maps kill the relation" if ok else "relation not respected",
@@ -164,8 +151,8 @@ def verify_hopf_axioms(alg: Presentation) -> Report:
         if eps_l != p or eps_r != p:
             bad_counit.append(w)
         target = alg.one() * counit_word(alg, w)
-        s_l = d2.map_leg(0, lambda u: _anti_extend(alg, h.antipode, h._s_cache, u)).multiply_legs()
-        s_r = d2.map_leg(1, lambda u: _anti_extend(alg, h.antipode, h._s_cache, u)).multiply_legs()
+        s_l = d2.map_leg(0, lambda u: _anti_extend(h.antipode, h._s_cache, u)).multiply_legs()
+        s_r = d2.map_leg(1, lambda u: _anti_extend(h.antipode, h._s_cache, u)).multiply_legs()
         if s_l != target or s_r != target:
             bad_antipode.append(w)
         if antipode_inv(antipode(p)) != p or antipode(antipode_inv(p)) != p:
@@ -218,18 +205,11 @@ class Morphism:
                 raise PresentationError(f"image of {g.name!r} lives in the wrong algebra")
             self.images[g.name] = img
         self.verified = False
-        self._cache: dict[Word, NCPoly] = {}
+        self._cache: dict[Word, NCPoly] = {EMPTY: target.one()}
 
     def apply_word(self, w: Word) -> NCPoly:
-        cached = self._cache.get(w)
-        if cached is not None:
-            return cached
-        out = self.target.one()
-        letters = reversed(w) if self.kind == "antihom" else w
-        for g in letters:
-            out = out * self.images[g]
-        self._cache[w] = out
-        return out
+        return extend_word(self._cache, w, lambda out, g: out * self.images[g],
+                           reverse=self.kind == "antihom")
 
     def apply(self, p: NCPoly) -> NCPoly:
         if p.alg is not self.source:

@@ -9,6 +9,10 @@ directly in low degrees, so the two can be compared.  Each returns
 `reference_normal_form` rewrites a whole word at its leftmost redex until none
 is left, a strategy independent of the letter-by-letter fold of
 `Presentation.normal_form_word`.
+
+`reference_extend` folds a word's letters from the unit every time, with no
+memo: the oracle for `ncalg.extend_word`, which starts from the longest
+cached prefix or suffix.
 """
 
 from qgalois import structure
@@ -95,3 +99,13 @@ def reference_normal_form(alg, w, cache: dict) -> dict:
                     res[w2] = v
     cache[w] = res
     return res
+
+
+def reference_extend(w, unit, step, reverse: bool = False):
+    """f(w) for f extended from its letters, multiplicatively, or
+    anti-multiplicatively with reverse: step(...step(unit, x1)..., xn) over
+    the letters of w, last letter first with reverse."""
+    out = unit
+    for g in (reversed(w) if reverse else w):
+        out = step(out, g)
+    return out

@@ -49,6 +49,23 @@ def test_parse_tensor(suq2):
     assert t == want
 
 
+def test_parse_tensor_signed_leg(suq2):
+    # a sign opening a tensor leg scales the whole term, as one opening the term does
+    def pure(c, u, v):
+        return TensorElem((suq2, suq2), {((u,), (v,)): c})
+
+    def parse(text):
+        return parse_tensor((suq2, suq2), text)
+
+    one = QRat(1)
+    assert parse("a (x) -g") == pure(-one, "a", "g")
+    assert parse("a (x) -2 g") == pure(QRat(-2), "a", "g")
+    assert parse("a (x) g - g (x) -a") == pure(one, "a", "g") + pure(one, "g", "a")
+    assert parse("a (x) - -g") == pure(one, "a", "g")
+    assert parse("-a (x) -q g") == pure(q_power(1), "a", "g")
+    assert parse("a (x) +g") == parse("a (x) g")
+
+
 def test_tensor_leg_count_checked(suq2):
     with pytest.raises(PresentationFileError):
         parse_tensor((suq2, suq2), "a (x) a (x) a")

@@ -183,3 +183,34 @@ def test_canonical_form_matches_sympy(pair):
     if r.num:
         assert sympy.degree(p, x) == len(r.num) - 1
     assert sympy.degree(s, x) == len(r.den) - 1
+
+
+# ---------------------------------------------------------------------------
+# exits that skip work whose result is known: a factor exactly 1, and a
+# denominator 1, which leaves n/1 already in lowest terms
+
+def test_multiplying_by_exact_one_returns_the_other_factor():
+    x = (q + 2) / (q - 3)
+    assert x * QRat(1) is x
+    assert QRat(1) * x is x
+    assert x * 1 is x
+
+
+@settings(max_examples=120, deadline=None)
+@given(polys, polys)
+def test_polynomial_arithmetic_matches_sympy(a, b):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("q")
+
+    def expr(cs):
+        return sum(c * x ** i for i, c in enumerate(cs))
+
+    # untrimmed tuples, denominator 1
+    s, t = QRat(tuple(a)), QRat(tuple(b))
+    for got, want in ((s * t, expr(a) * expr(b)), (s + t, expr(a) + expr(b)),
+                      (s - t, expr(a) - expr(b))):
+        assert got.den == (1,)
+        assert sympy.expand(expr(got.num) - sympy.cancel(want)) == 0
+        # the canonical form reached through a cancelling denominator
+        assert got == QRat(_pmul(got.num, (2, 1)), (2, 1))
+        assert not got.num or got.num[-1] != 0
