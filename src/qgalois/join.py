@@ -1,6 +1,10 @@
 """Polynomial model of the equivariant join of a comodule algebra with its
 structure Hopf algebra: boundary-constrained t-polynomials over A (x) H, the
 diagonal-type coaction id (x) Delta, and the character-collapse maps.
+
+Membership of x(1) in delta(A) is decided by the counit projection: delta is
+counital, so (id (x) eps) o delta = id, the only possible preimage is
+a = (id (x) eps)(x(1)), and one evaluation delta(a) == x(1) settles it.
 """
 
 from __future__ import annotations
@@ -8,8 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import structure
-from .comodule import Coaction
-from .linalg import add_scaled, nullspace
+from .comodule import Coaction, counit_failures
+from .linalg import add_scaled
 from .ncalg import EMPTY, NCPoly, Presentation, PresentationError
 from .report import Report
 from .scalars import QRat, qrat
@@ -170,7 +174,7 @@ def join_product(x: JoinElement, y: JoinElement) -> JoinElement:
 
 def join_membership(x: JoinElement, d_a: int) -> Report:
     """Both boundary conditions, exactly: scalars (x) H at t=0, the coaction
-    image at t=1 (membership solved over the A-basis up to degree d_a)."""
+    image at t=1 (the preimage of degree <= d_a read off by the counit)."""
     rep = Report()
     A, H = x.delta.A, x.delta.H
     at0 = x.evaluate(0)
@@ -187,24 +191,25 @@ def join_membership(x: JoinElement, d_a: int) -> Report:
     return rep
 
 
+def _require_counital(delta: Coaction):
+    """Raise unless (id (x) eps) o delta = id, on which a FAIL of the counit
+    projection rests; assumes eps_H respects the relations of H."""
+    bad = counit_failures(delta)
+    if bad:
+        raise PresentationError(
+            f"coaction {delta.name} is not counital on generator {' '.join(bad[0])!r}")
+
+
 def _solve_coaction_membership(delta: Coaction, target: TensorElem, d_a: int):
-    """Find a in A_{<=d_a} with delta(a) = target, or None."""
-    A, H = delta.A, delta.H
-    words = A.basis_up_to_degree(d_a)
-    columns = [dict(delta.apply_word(w).terms) for w in words]
-    columns.append(dict(target.terms))
-    key_order = lambda k: (A.term_key(k[0]), H.term_key(k[1]))
-    # solvable iff some nullspace vector uses the target column
-    for sol in nullspace(columns, key_order):
-        if not sol[-1].is_zero:
-            scale = QRat(-1) / sol[-1]
-            terms = {}
-            for w, coeff in zip(words, sol[:-1]):
-                if not coeff.is_zero:
-                    terms[w] = coeff * scale
-            return NCPoly(A, terms, normal=True)
-    if target.is_zero:
-        return A.zero()
+    """The a in A_{<=d_a} with delta(a) = target, or None.
+
+    delta is injective with left inverse id (x) eps, so the only candidate is
+    a = (id (x) eps)(target); a PASS is witnessed by delta(a) == target.
+    """
+    _require_counital(delta)
+    a = target.contract_leg(1, lambda u: structure.counit_word(delta.H, u))
+    if a.degree() <= d_a and delta.apply(a) == target:
+        return a
     return None
 
 
@@ -229,19 +234,11 @@ def join_coaction_membership(x: JoinElement, d_a: int) -> Report:
             "value lies in C (x) H (x) H" if ok0 else "A-leg nontrivial",
             tag="x~(0) in C (x) H (x) H")
     at1 = co.evaluate(1)
-    words = A.basis_up_to_degree(d_a)
-    h_words = sorted({k[2] for k in at1.terms}, key=H.term_key)
-    variables = [(w, hw) for w in words for hw in h_words]
-    columns = [{(aw, hw1, hw): coeff
-                for (aw, hw1), coeff in x.delta.apply_word(w).terms.items()}
-               for (w, hw) in variables]
-    columns.append(dict(at1.terms))
-    key_order = lambda k: (A.term_key(k[0]), H.term_key(k[1]), H.term_key(k[2]))
-    ok1 = at1.is_zero
-    for sol in nullspace(columns, key_order):
-        if not sol[-1].is_zero:
-            ok1 = True
-            break
+    # (id (x) eps (x) id) is a left inverse of delta (x) id, as in join_membership
+    _require_counital(x.delta)
+    cand = at1.contract_leg(1, lambda u: structure.counit_word(H, u))
+    ok1 = (max((len(k[0]) for k in cand.terms), default=-1) <= d_a
+           and cand.expand_leg(0, x.delta.apply_word, legs_hint=(A, H)) == at1)
     rep.add("coacted-boundary-one", ok1,
             "value lies in (delta (x) id)(A (x) H)" if ok1 else "boundary escapes",
             tag="x~(1) in (delta (x) id)(A (x) H)")

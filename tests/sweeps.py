@@ -13,9 +13,14 @@ is left, a strategy independent of the letter-by-letter fold of
 `reference_extend` folds a word's letters from the unit every time, with no
 memo: the oracle for `ncalg.extend_word`, which starts from the longest
 cached prefix or suffix.
+
+`reference_coaction_membership` and `reference_coacted_membership` solve the
+join boundary memberships by elimination over every basis word up to the
+degree bound: the oracles for the counit projection of `qgalois.join`.
 """
 
 from qgalois import structure
+from qgalois.linalg import nullspace
 from qgalois.ncalg import NCPoly
 from qgalois.scalars import QRat
 from qgalois.tensors import TensorElem
@@ -109,3 +114,38 @@ def reference_extend(w, unit, step, reverse: bool = False):
     for g in (reversed(w) if reverse else w):
         out = step(out, g)
     return out
+
+
+def _solve_by_elimination(columns, variables, target, key_order):
+    """Coefficients c with sum_i c_i columns[i] = target, or None; one of
+    many solutions when the columns are dependent."""
+    for sol in nullspace(columns + [dict(target.terms)], key_order):
+        if not sol[-1].is_zero:
+            scale = QRat(-1) / sol[-1]
+            return {v: c * scale for v, c in zip(variables, sol[:-1]) if not c.is_zero}
+    return {} if target.is_zero else None
+
+
+def reference_coaction_membership(delta, target, d: int):
+    """The a in A_{<=d} with delta(a) = target, or None, found by eliminating
+    over delta(w) for every basis word w of degree <= d."""
+    A, H = delta.A, delta.H
+    words = A.basis_up_to_degree(d)
+    columns = [dict(delta.apply_word(w).terms) for w in words]
+    sol = _solve_by_elimination(columns, words, target,
+                                lambda k: (A.term_key(k[0]), H.term_key(k[1])))
+    return None if sol is None else NCPoly(A, sol, normal=True)
+
+
+def reference_coacted_membership(delta, target, d: int):
+    """A y in A_{<=d} (x) H with (delta (x) id)(y) = target, or None; the
+    H-words of y range over those of target's last leg."""
+    A, H = delta.A, delta.H
+    h_words = sorted({k[2] for k in target.terms}, key=H.term_key)
+    variables = [(w, hw) for w in A.basis_up_to_degree(d) for hw in h_words]
+    columns = [{(aw, hw1, hw): c for (aw, hw1), c in delta.apply_word(w).terms.items()}
+               for w, hw in variables]
+    sol = _solve_by_elimination(
+        columns, variables, target,
+        lambda k: (A.term_key(k[0]), H.term_key(k[1]), H.term_key(k[2])))
+    return None if sol is None else TensorElem((A, H), sol, normal=True)

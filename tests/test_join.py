@@ -2,16 +2,21 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qgalois import presets
-from qgalois.join import (Character, JoinDegreeError, chi_collapse,
+from qgalois.comodule import Coaction
+from qgalois.join import (Character, JoinDegreeError, JoinElement, TPoly,
+                          _solve_coaction_membership, chi_collapse,
                           chi_equivariance, counit_character, join_coaction, join_coaction_membership,
                           join_coassociativity, join_membership, join_path,
                           join_product, join_unit, sample_join_elements)
-from qgalois.ncalg import EMPTY
+from qgalois.ncalg import EMPTY, NCPoly, PresentationError
 from qgalois.presfile import parse_join_element
 from qgalois.scalars import QRat
 from qgalois.tensors import TensorElem
+from sweeps import (certified, reference_coacted_membership,
+                    reference_coaction_membership)
 
 
 @pytest.fixture(scope="module")
@@ -127,3 +132,66 @@ def test_collapse_at_other_points(reg, suq2, path_alpha):
     # at t0 = 0 the A-leg is scalar, collapse gives the plain fiber copy
     val = chi_collapse(path_alpha, chi, t0=Fraction(0))
     assert val == suq2.gen("a")
+
+
+# -- the counit projection against elimination over the degree-<=d basis ------
+
+MEMBERSHIP_CASES = ("sample", "star", "product", "off-zero", "off-one", "long-word")
+
+
+@pytest.fixture(scope="module")
+def membership_coactions(reg, fibration):
+    return {"regular": reg, "fibration": fibration}
+
+
+def _membership_case(delta, kind, seed, d):
+    """A join element of the given kind, built from seeded samples."""
+    rng = random.Random(seed)
+    A, H = delta.A, delta.H
+    x, y = sample_join_elements(delta, rng, count=2)
+    if kind == "star":
+        return x.star()
+    if kind == "product":
+        return join_product(x, y)
+    if kind == "off-zero":
+        z = TensorElem((A, H), {(rng.choice(A.basis_up_to_degree(2)), EMPTY): QRat(1)})
+        return x + JoinElement(delta, TPoly((A, H), {0: z, 1: -z}))
+    if kind == "off-one":
+        z = TensorElem((A, H), {(rng.choice(A.basis_up_to_degree(2)),
+                                 rng.choice(H.basis_up_to_degree(2))): QRat(1)})
+        return x + JoinElement(delta, TPoly((A, H), {1: z}))
+    if kind == "long-word":
+        long = [w for w in A.basis_up_to_degree(d + 1) if len(w) == d + 1]
+        return join_path(delta, H.one(), NCPoly(A, {rng.choice(long): QRat(1)}, normal=True))
+    return x
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(name=st.sampled_from(["regular", "fibration"]), kind=st.sampled_from(MEMBERSHIP_CASES),
+       seed=st.integers(0, 10**6), d=st.integers(2, 4))
+def test_counit_projection_matches_elimination(membership_coactions, name, kind, seed, d):
+    delta = membership_coactions[name]
+    x = _membership_case(delta, kind, seed, d)
+    at1 = x.evaluate(1)
+    want = reference_coaction_membership(delta, at1, d)
+    assert _solve_coaction_membership(delta, at1, d) == want
+    rep = join_membership(x, d)
+    assert certified(rep, {"boundary-one"}) == {"boundary-one": want is not None}
+    co_want = reference_coacted_membership(delta, join_coaction(x).evaluate(1), d)
+    co_rep = join_coaction_membership(x, d)
+    assert certified(co_rep, {"coacted-boundary-one"}) == \
+        {"coacted-boundary-one": co_want is not None}
+    if kind == "long-word":
+        assert want is None and co_want is None
+
+
+def test_membership_rejects_a_coaction_that_is_not_counital(suq2):
+    # (id (x) eps)(s (x) s) = eps(s) s: a and a* come back, but eps(g) = 0
+    table = {g.name: TensorElem((suq2, suq2), {((g.name,), (g.name,)): QRat(1)})
+             for g in suq2.generators}
+    bad = Coaction("diagonal", suq2, suq2, table)
+    x = join_unit(bad)
+    with pytest.raises(PresentationError, match="not counital on generator 'g'"):
+        join_membership(x, 2)
+    with pytest.raises(PresentationError, match="not counital on generator 'g'"):
+        join_coaction_membership(x, 2)
