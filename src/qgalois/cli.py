@@ -229,8 +229,7 @@ def _resolve_pullback_inputs(args):
     if name != "podles-line":
         raise InputError("pullback supports --preset podles-line N or --input FILE")
     f = presets.collapse_morphism()
-    sweep = args.max_degree or 3
-    ell = presets.fibration_connection(max(abs(n), sweep))
+    ell = presets.fibration_connection(abs(n))
     corep = presets.u1_corep(n)
     delta = presets.fibration_coaction()
     delta2 = presets.regular_u1_coaction()
@@ -241,9 +240,7 @@ def cmd_pullback(args) -> int:
     q0 = _parse_q(args.q)
     f, ell, corep, delta, delta2 = _resolve_pullback_inputs(args)
     phi2 = _functional(delta2.A, args.functional)
-    sweep = args.max_degree or 3
-    rep, artifacts = verify_pullback_theorem(f, ell, corep, phi2, delta, delta2,
-                                             sweep_degree=sweep)
+    rep, artifacts = verify_pullback_theorem(f, ell, corep, phi2, delta, delta2)
     _emit(rep)
     payload = {"command": "pullback", "report": rep.to_dict(), "q": "symbolic"}
     if artifacts:
@@ -317,10 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--preset", nargs="+", metavar="NAME",
                        help="suq2 | u1 | podles-line N | trivial-base")
         p.add_argument("--input", metavar="PATH", help="presentation file")
-        p.add_argument("--max-degree", type=int, default=None, metavar="N",
-                       help="degree of the pullback sigma sweep (default 3); verify "
-                            "accepts it but does not read it, since it certifies "
-                            "its axioms in every degree")
         p.add_argument("--q", default="symbolic", metavar="SPEC",
                        help="symbolic or a rational value like 1 or 3/7")
         p.add_argument("--functional", default="constant-term")
@@ -328,6 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run verification suites")
     common(pv)
+    pv.add_argument("--max-degree", type=int, default=None, metavar="N",
+                    help="accepted and not read; every certificate holds in all degrees")
     pp = sub.add_parser("projector", help="compute an associated-bundle idempotent")
     common(pp)
     pp.add_argument("--corep", default="u", help="u | u-dual | trivial")

@@ -79,7 +79,7 @@ def verify_coaction(delta: Coaction) -> Report:
         for w, c in r.rhs.items():
             img = img - delta.apply_word(w) * c
         rep.add(f"relation {' '.join(r.lhs)}", img.is_zero,
-                "maps to 0" if img.is_zero else "relation not respected",
+                "maps to 0" if img.is_zero else f"maps to {img}",
                 tag="delta extends to an algebra map")
     gens = [(g.name,) for g in A.generators]
     bad_coassoc = []

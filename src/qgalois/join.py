@@ -233,12 +233,11 @@ def join_coaction_membership(x: JoinElement, d_a: int) -> Report:
     rep.add("coacted-boundary-zero", ok0,
             "value lies in C (x) H (x) H" if ok0 else "A-leg nontrivial",
             tag="x~(0) in C (x) H (x) H")
-    at1 = co.evaluate(1)
-    # (id (x) eps (x) id) is a left inverse of delta (x) id, as in join_membership
+    # the only candidate is (id (x) eps (x) id)(x~(1)), which is x(1) by H's counit law
     _require_counital(x.delta)
-    cand = at1.contract_leg(1, lambda u: structure.counit_word(H, u))
-    ok1 = (max((len(k[0]) for k in cand.terms), default=-1) <= d_a
-           and cand.expand_leg(0, x.delta.apply_word, legs_hint=(A, H)) == at1)
+    at1 = x.evaluate(1)
+    ok1 = (max((len(k[0]) for k in at1.terms), default=-1) <= d_a
+           and at1.expand_leg(0, x.delta.apply_word, legs_hint=(A, H)) == co.evaluate(1))
     rep.add("coacted-boundary-one", ok1,
             "value lies in (delta (x) id)(A (x) H)" if ok1 else "boundary escapes",
             tag="x~(1) in (delta (x) id)(A (x) H)")

@@ -213,8 +213,8 @@ def u1_power_connection(n: int) -> StrongConnection:
 
 
 def fibration_connection(max_abs: int) -> StrongConnection:
-    """Connection table covering every winding |k| <= max_abs, as the
-    degree-bounded sweeps of the pullback verification require."""
+    """Connection table covering every winding |k| <= max_abs; the pullback
+    preset uses max_abs = |n|, the domain its sigma-diagram check runs on."""
     if max_abs < 1:
         raise ValueError("need at least winding one")
     pairs = u1_power_table(max_abs) + u1_power_table(-max_abs)[1:]

@@ -129,9 +129,10 @@ def verify_hopf_axioms(alg: Presentation) -> Report:
             ct = ct + counit_word(alg, w) * c
             st = st + _anti_extend(h.antipode, h._s_cache, w) * c
             sit = sit + _anti_extend(h.antipode_inv, h._sinv_cache, w) * c
-        ok = dt.is_zero and ct.is_zero and st.is_zero and sit.is_zero
-        rep.add(f"relation-compat {' '.join(r.lhs)}", ok,
-                "structure maps kill the relation" if ok else "relation not respected",
+        bad = [f"{name} maps it to {img}" for name, img in
+               (("Delta", dt), ("eps", ct), ("S", st), ("S^-1", sit)) if not img.is_zero]
+        rep.add(f"relation-compat {' '.join(r.lhs)}", not bad,
+                "; ".join(bad) or "structure maps kill the relation",
                 tag="Delta, eps, S factor through the quotient")
     gens = [(g.name,) for g in alg.generators]
     bad_coassoc = []

@@ -17,9 +17,14 @@ cached prefix or suffix.
 `reference_coaction_membership` and `reference_coacted_membership` solve the
 join boundary memberships by elimination over every basis word up to the
 degree bound: the oracles for the counit projection of `qgalois.join`.
+
+`sweep_sigma_diagram` compares sigma' o f with f o sigma on every basis
+word up to a degree: the oracle for `cherngalois.check_sigma_diagram`, which
+certifies the diagram on the connection domain.
 """
 
 from qgalois import structure
+from qgalois.cherngalois import sigma
 from qgalois.linalg import nullspace
 from qgalois.ncalg import NCPoly
 from qgalois.scalars import QRat
@@ -74,6 +79,18 @@ def sweep_coaction(delta, d: int) -> dict:
                 NCPoly(A, {w: QRat(1)}, normal=True):
             ok["counitality"] = False
     return ok
+
+
+def sweep_sigma_diagram(f, ell, phi, ell2, phi2, d: int) -> list:
+    """The basis words w of degree <= d with sigma'(f(w)) != f(sigma(w)),
+    sigma built from (ell, phi) and sigma' from (ell2, phi2)."""
+    delta, delta2 = ell.coaction, ell2.coaction
+    bad = []
+    for w in delta.A.basis_up_to_degree(d):
+        a = NCPoly(delta.A, {w: QRat(1)}, normal=True)
+        if sigma(phi2, ell2, delta2, f.apply(a)) != f.apply(sigma(phi, ell, delta, a)):
+            bad.append(w)
+    return bad
 
 
 def certified(rep, names) -> dict:

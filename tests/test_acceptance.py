@@ -102,7 +102,7 @@ def test_criterion_5_pullback_theorem():
         rep, art = verify_pullback_theorem(
             f, presets.fibration_connection(3), presets.u1_corep(1),
             Functional.constant_term(U), presets.fibration_coaction(),
-            presets.regular_u1_coaction(), sweep_degree=3)
+            presets.regular_u1_coaction())
         assert rep.ok
         clauses = {c.name for c in rep.checks}
         assert {"sigma-diagram", "block-form", "block-absorption",

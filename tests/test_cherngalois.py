@@ -3,17 +3,20 @@ from fractions import Fraction
 
 import pytest
 
-from qgalois import presets
-from qgalois.cherngalois import (Functional, ProjectorError, align_blocks,
-                                 connection_expansion, cotensor_compare,
-                                 mat_eq, mat_mul, projector,
+from qgalois import presets, structure
+from qgalois.cherngalois import (Functional, ProjectorError, _tau, align_blocks,
+                                 check_sigma_diagram, connection_expansion,
+                                 cotensor_compare, mat_eq, mat_mul, projector,
                                  projector_similarity, pullback_projector,
                                  sigma, trace_rank, verify_pullback_theorem)
 from qgalois.comodule import invariant_subspace
-from qgalois.connection import CoalgebraSpan, CoverageError, StrongConnection
+from qgalois.connection import (CoalgebraSpan, CoverageError, StrongConnection,
+                                pullback_connection)
 from qgalois.scalars import QRat, q_power
 from qgalois.structure import Morphism
 from qgalois.tensors import TensorElem
+
+from sweeps import sweep_sigma_diagram
 
 
 @pytest.fixture(scope="module")
@@ -175,7 +178,7 @@ def test_pullback_theorem_end_to_end(collapse, fibration, regular_u1, u1):
     ell = presets.fibration_connection(3)
     phi2 = Functional.constant_term(u1)
     rep, art = verify_pullback_theorem(collapse, ell, presets.u1_corep(1), phi2,
-                                       fibration, regular_u1, sweep_degree=3)
+                                       fibration, regular_u1)
     assert rep.ok
     names = [c.name for c in rep.checks]
     for clause in ("sigma-diagram", "block-form", "block-absorption",
@@ -191,7 +194,7 @@ def test_pullback_theorem_identity(fibration, suq2):
     ell = presets.fibration_connection(2)
     phi = Functional.constant_term(suq2)
     rep, art = verify_pullback_theorem(ident, ell, presets.u1_corep(1), phi,
-                                       fibration, fibration, sweep_degree=2)
+                                       fibration, fibration)
     assert rep.ok
 
 
@@ -199,7 +202,7 @@ def test_pullback_theorem_trivial_corep(collapse, fibration, regular_u1, suq2, u
     ell = presets.fibration_connection(2)
     phi2 = Functional.constant_term(u1)
     rep, art = verify_pullback_theorem(collapse, ell, presets.trivial_corep(u1),
-                                       phi2, fibration, regular_u1, sweep_degree=2)
+                                       phi2, fibration, regular_u1)
     assert rep.ok
     assert art["E"].entries == [[suq2.one()]]
     assert art["E_prime"].entries == [[u1.one()]]
@@ -215,7 +218,7 @@ def test_pullback_theorem_along_sign_automorphism(fibration, suq2):
     ell = presets.fibration_connection(2)
     phi = Functional.constant_term(suq2)
     rep, art = verify_pullback_theorem(f, ell, presets.u1_corep(1), phi,
-                                       fibration, fibration, sweep_degree=2)
+                                       fibration, fibration)
     assert rep.ok
     match = next(c for c in rep.checks if c.name == "pullback-projector-match")
     assert "change of basis" in match.detail
@@ -238,6 +241,60 @@ def test_pullback_theorem_rejects_non_equivariant(fibration, regular_u1, suq2, u
     assert not rep.ok
     assert art == {}
     assert any(c.name == "equivariance" for c in rep.failures())
+
+
+def _phi_prime(u1, rule):
+    # the preset constant-term phi' makes tau vanish on every domain element
+    # but 1, so tau' = f o tau compares 0 with 0 there; the counit does not
+    if rule == "counit":
+        return Functional(u1, structure.counit)
+    return Functional.constant_term(u1)
+
+
+def _sigma_inputs(collapse, regular_u1, u1, k, rule):
+    ell = presets.fibration_connection(k)
+    phi2 = _phi_prime(u1, rule)
+    return (ell, Functional.pullback(phi2, collapse),
+            pullback_connection(collapse, ell, regular_u1), phi2)
+
+
+@pytest.mark.parametrize("rule", ["constant-term", "counit"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_sigma_diagram_certificate_agrees_with_sweep(collapse, regular_u1, u1, k, rule):
+    ell, phi, ell2, phi2 = _sigma_inputs(collapse, regular_u1, u1, k, rule)
+    rep = check_sigma_diagram(collapse, ell, phi, ell2, phi2)
+    assert rep.ok
+    assert rep.checks[0].detail.startswith(
+        f"tau' = f o tau on all {2 * k + 1} connection domain elements")
+    # degree-k words coact into windings |j| <= k, all inside the domain
+    assert sweep_sigma_diagram(collapse, ell, phi, ell2, phi2, k) == []
+
+
+def test_counit_functional_makes_the_sigma_diagram_non_vacuous(
+        collapse, fibration, regular_u1, suq2, u1):
+    ell, phi, _, phi2 = _sigma_inputs(collapse, regular_u1, u1, 1, "counit")
+    assert _tau(phi, ell, u1.gen("u")) == suq2.gen("a*")
+    constant = Functional.pullback(Functional.constant_term(u1), collapse)
+    assert _tau(constant, ell, u1.gen("u")).is_zero
+    rep, art = verify_pullback_theorem(collapse, ell, presets.u1_corep(1), phi2,
+                                       fibration, regular_u1)
+    assert rep.ok
+    assert art["certificate"].e_prime == [[u1.one()]]
+
+
+@pytest.mark.parametrize("rule", ["constant-term", "counit"])
+def test_planted_functional_fails_certificate_and_sweep(collapse, regular_u1, suq2,
+                                                        u1, rule):
+    # phi' o f everywhere except phi(a) = 2; a is the first leg of l(u) that
+    # phi meets, so tau(u) and only tau(u) is wrong
+    ell, phi, ell2, phi2 = _sigma_inputs(collapse, regular_u1, u1, 1, rule)
+    shift = QRat(2) - phi.on_word(("a",))
+    planted = Functional(suq2, lambda p: phi(p) + shift * p.terms.get(("a",), QRat(0)))
+    rep = check_sigma_diagram(collapse, ell, planted, ell2, phi2)
+    assert not rep.ok
+    assert rep.checks[0].detail == "fails at u"
+    # delta(a) = a (x) u: the sweep fails at the one word that coacts through u
+    assert sweep_sigma_diagram(collapse, ell, planted, ell2, phi2, 1) == [("a",)]
 
 
 def test_projector_similarity(regular_suq2, fundamental, suq2, intertwiner_q):

@@ -169,6 +169,9 @@ delta a* = a* (x) u*
     code, out, _ = run(capsys, "verify", "--input", str(f))
     assert code == 1
     assert "FAIL" in out
+    # the witness is the image of the relation a a* = 1 - q^2 g g*
+    assert "CHECK corrupt/relation a a* FAIL maps to -q^2 g g* (x) 1 + q^2 g g* (x) u* u*" \
+        in out.splitlines()
 
 
 def test_broken_connection_fails_with_exit_one(capsys, tmp_path):
@@ -223,9 +226,16 @@ L u* = a (x) a* + q^2 g (x) g*
 corep line dim 1 over u1
 row u
 """ + presets.COLLAPSE_SOURCE)
-    code, out, _ = run(capsys, "pullback", "--input", str(f),
-                       "--max-degree", "1")
+    code, out, _ = run(capsys, "pullback", "--input", str(f))
     assert code == 0
+
+
+@pytest.mark.parametrize("command", ["pullback", "projector"])
+def test_max_degree_is_verify_only(capsys, command):
+    # no pullback certificate is truncated, so there is no degree to set
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--preset", "podles-line", "1", "--max-degree", "3"])
+    assert exc.value.code == 2
 
 
 def test_verify_needs_preset_or_input(capsys):

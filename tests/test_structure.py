@@ -84,8 +84,9 @@ def test_counit_fault_fails_certificate_and_sweep():
 def test_inverse_antipode_must_respect_the_relations():
     u1 = _u1_copy()
     _reattach(u1, antipode_inv={"u": u1.gen("u*") * 2, "u*": u1.gen("u")})
-    failed = {c.name for c in verify_hopf_axioms(u1).failures()}
-    assert "relation-compat u u*" in failed
+    failed = {c.name: c.detail for c in verify_hopf_axioms(u1).failures()}
+    # S^-1(u u*) = u 2u* = 2, against S^-1(1) = 1
+    assert failed["relation-compat u u*"] == "S^-1 maps it to 1"
 
 
 def test_iterated_coproduct(suq2):
