@@ -58,14 +58,16 @@ class Functional:
 
 
 def sigma(phi: Functional, ell: StrongConnection, delta: Coaction,
-          a: NCPoly) -> NCPoly:
-    """a_(0) tau(a_(1)), the left-B-linear retraction onto the coaction invariants."""
+          a: NCPoly, h: NCPoly | None = None) -> NCPoly:
+    """a_(0) tau(a_(1)), the left-B-linear retraction onto the coaction
+    invariants; a_(0) tau(h a_(1)) for h in H, a factor of `projector`."""
     A = delta.A
     if a.alg is not A:
         raise PresentationError("sigma argument lives in the wrong algebra")
     out = A.zero()
     for a_word, h_slice in delta.apply(a).grouped(0).items():
-        out = out + NCPoly(A, {a_word: QRat(1)}, normal=True) * _tau(phi, ell, h_slice)
+        out = out + NCPoly(A, {a_word: QRat(1)}, normal=True) * _tau(
+            phi, ell, h_slice if h is None else h * h_slice)
     return out
 
 
@@ -150,6 +152,26 @@ def mat_mul(X, Y):
     return out
 
 
+def _mismatches(X, Y):
+    """(row, col, X entry, Y entry) wherever equal-shaped X and Y differ."""
+    return ((r, c, a, b) for r, (rx, ry) in enumerate(zip(X, Y))
+            for c, (a, b) in enumerate(zip(rx, ry)) if a != b)
+
+
+def _certify_factorization(rep: Report, E, X, Y, alg: Presentation, fname: str = ""):
+    """E^2 = E from E = X Y and Y X = I_N, as then E^2 = X (Y X) Y = X Y = E in
+    any associative algebra; with a map name the matrices read f(E), ..."""
+    e, x, y = (f"{fname}({s})" if fname else s for s in "EXY")
+    N, XY = len(Y), mat_mul(X, Y)
+    bad = next((f"{e} != {x} {y} at ({r}, {c}): difference {(a - b).brief()}"
+                for r, c, a, b in _mismatches(E, XY)), None) or \
+        next((f"{y} {x} != I_{N} at ({k}, {l}): entry {a.brief()}"
+              for k, l, a, _ in _mismatches(mat_mul(Y, X), poly_identity(alg, N))), None)
+    rep.add("idempotent", bad is None,
+            bad or f"{e} = {x} {y} with {y} {x} = I_{N}; so {e}^2 = {x} ({y} {x}) {y} = {e}",
+            tag=f"{e}^2 = {e}")
+
+
 def mat_eq(X, Y) -> bool:
     if len(X) != len(Y):
         return False
@@ -182,7 +204,7 @@ class Projector:
     """Idempotent matrix over the coaction invariants, indexed by (mu, i)."""
 
     def __init__(self, ell: StrongConnection, c: Corepresentation, phi: Functional,
-                 delta: Coaction, a_mu, r_table, entries, report: Report):
+                 delta: Coaction, a_mu, r_table, entries, factors, report: Report):
         self.ell = ell
         self.corep = c
         self.phi = phi
@@ -190,6 +212,7 @@ class Projector:
         self.a_mu = a_mu
         self.r_table = r_table
         self.entries = entries
+        self.X, self.Y = factors
         self.labels = [(mu, i) for mu in range(len(a_mu)) for i in range(c.n)]
         self.report = report
 
@@ -210,8 +233,10 @@ class Projector:
 
 def projector(ell: StrongConnection, c: Corepresentation, phi: Functional,
               delta: Coaction) -> Projector:
-    """Build the idempotent with entries sigma(r_mu(c_ij) a_nu) and certify
-    idempotence and entrywise invariance exactly."""
+    """Build the idempotent with entries sigma(r_mu(c_ij) a_nu), certify its
+    entrywise invariance, and certify E^2 = E by E = X Y and Y X = I_{dim c},
+    X_{(mu,i),k} = r_mu(c_ik), Y_{k,(nu,j)} = (a_nu)_(0) tau(c_kj (a_nu)_(1)):
+    M^2 N + M N^2 products of small factors, not the M^3 of squaring E."""
     a_mu, r_table = connection_expansion(ell, c)
     n = c.n
     labels = [(mu, i) for mu in range(len(a_mu)) for i in range(n)]
@@ -221,10 +246,11 @@ def projector(ell: StrongConnection, c: Corepresentation, phi: Functional,
         for (nu, j) in labels:
             row.append(sigma(phi, ell, delta, r_table[(i, j)][mu] * a_mu[nu]))
         entries.append(row)
+    X = [[r_table[(i, k)][mu] for k in range(n)] for (mu, i) in labels]
+    Y = [[sigma(phi, ell, delta, a_mu[nu], c[k, j]) for (nu, j) in labels]
+         for k in range(n)]
     rep = Report()
-    square = mat_mul(entries, entries)
-    idem = mat_eq(square, entries)
-    rep.add("idempotent", idem, f"{len(labels)}x{len(labels)} matrix", tag="E^2 = E")
+    _certify_factorization(rep, entries, X, Y, delta.A)
     inv_ok = True
     for row in entries:
         for e in row:
@@ -237,20 +263,21 @@ def projector(ell: StrongConnection, c: Corepresentation, phi: Functional,
     if not rep.ok:
         raise ProjectorError("projector failed certification "
                              "(invalid connection or corepresentation)", rep)
-    return Projector(ell, c, phi, delta, a_mu, r_table, entries, rep)
+    return Projector(ell, c, phi, delta, a_mu, r_table, entries, (X, Y), rep)
 
 
 def pullback_projector(f: Morphism, E: Projector, delta2: Coaction):
     """Apply a verified equivariant morphism entrywise; the image must again be
-    an invariant idempotent."""
+    an invariant idempotent, certified through f(E) = f(X) f(Y) and
+    f(Y) f(X) = f(I) = I, as f is an algebra map."""
     if not f.verified:
         raise PresentationError("pullback requires a verified morphism")
     if f.source is not E.delta.A:
         raise PresentationError("morphism source does not match the projector")
-    entries = [[f.apply(e) for e in row] for row in E.entries]
+    entries, X, Y = ([[f.apply(e) for e in row] for row in M]
+                     for M in (E.entries, E.X, E.Y))
     rep = Report()
-    rep.add("idempotent", mat_eq(mat_mul(entries, entries), entries),
-            "f(E)^2 = f(E)", tag="f(E)^2 = f(E)")
+    _certify_factorization(rep, entries, X, Y, f.target, fname="f")
     inv_ok = all(delta2.apply(e) == TensorElem.from_poly(e).outer(
         TensorElem.unit((delta2.H,))) for row in entries for e in row)
     rep.add("base-invariance", inv_ok,

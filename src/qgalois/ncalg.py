@@ -90,10 +90,10 @@ class Presentation:
         # normal forms are strategy-independent only once every overlap
         # resolves (Bergman's diamond lemma), so confluence comes first
         self._confluence = self._resolve_overlaps()
-        bad = dict.fromkeys(c.name for c in self._confluence.failures())
+        bad = {c.name: c.detail for c in self._confluence.failures()}
         if bad:
-            raise PresentationError("rewrite system is not confluent: reductions differ at "
-                                    + ", ".join(bad))
+            raise PresentationError("rewrite system is not confluent: "
+                                    + "; ".join(f"{n}: {d}" for n, d in bad.items()))
         self._validate_star_closure()
 
     # -- orders -------------------------------------------------------------
@@ -297,7 +297,8 @@ class Presentation:
         n2 = self.normalize_terms(p2)
         ok = n1 == n2
         name = f"overlap {' '.join(w)}"
-        detail = "both reductions agree" if ok else "reductions differ"
+        detail = "both reductions agree" if ok else "reductions differ by " + (
+            NCPoly(self, n1, normal=True) - NCPoly(self, n2, normal=True)).brief()
         return Check(name, ok, detail, tag="diamond: both one-step reductions join")
 
     def _apply_rule_at(self, w: Word, r: RewriteRule, i: int) -> dict:
@@ -429,6 +430,12 @@ class NCPoly:
 
     def __str__(self):
         return format_terms(self.terms.items(), self.alg.term_key)
+
+    def brief(self, limit: int = 4) -> str:
+        """The expression cut after its first `limit` terms, for FAIL witnesses."""
+        items = sorted(self.terms.items(), key=lambda it: self.alg.term_key(it[0]))
+        head = format_terms(items[:limit], self.alg.term_key)
+        return head if len(items) <= limit else f"{head} + ... ({len(items) - limit} more terms)"
 
     def __repr__(self):
         return f"<{self.alg.name}: {self}>"

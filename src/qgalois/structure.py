@@ -133,7 +133,7 @@ def verify_hopf_axioms(alg: Presentation) -> Report:
                (("Delta", dt), ("eps", ct), ("S", st), ("S^-1", sit)) if not img.is_zero]
         rep.add(f"relation-compat {' '.join(r.lhs)}", not bad,
                 "; ".join(bad) or "structure maps kill the relation",
-                tag="Delta, eps, S factor through the quotient")
+                tag="Delta, eps, S, S^-1 factor through the quotient")
     gens = [(g.name,) for g in alg.generators]
     bad_coassoc = []
     bad_counit = []

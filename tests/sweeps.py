@@ -21,6 +21,10 @@ degree bound: the oracles for the counit projection of `qgalois.join`.
 `sweep_sigma_diagram` compares sigma' o f with f o sigma on every basis
 word up to a degree: the oracle for `cherngalois.check_sigma_diagram`, which
 certifies the diagram on the connection domain.
+
+`sweep_idempotent` squares a matrix entry by entry, M^3 products, in its own
+loops: the oracle for the factorization certificate E = X Y, Y X = I of
+`cherngalois.projector` and `cherngalois.pullback_projector`.
 """
 
 from qgalois import structure
@@ -91,6 +95,19 @@ def sweep_sigma_diagram(f, ell, phi, ell2, phi2, d: int) -> list:
         if sigma(phi2, ell2, delta2, f.apply(a)) != f.apply(sigma(phi, ell, delta, a)):
             bad.append(w)
     return bad
+
+
+def sweep_idempotent(entries) -> bool:
+    """E^2 = E for a square polynomial matrix, by the brute-force square."""
+    m = len(entries)
+    for i in range(m):
+        for j in range(m):
+            acc = entries[i][0] * entries[0][j]
+            for k in range(1, m):
+                acc = acc + entries[i][k] * entries[k][j]
+            if acc != entries[i][j]:
+                return False
+    return True
 
 
 def certified(rep, names) -> dict:

@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -9,14 +10,14 @@ from qgalois.cherngalois import (Functional, ProjectorError, _tau, align_blocks,
                                  cotensor_compare, mat_eq, mat_mul, projector,
                                  projector_similarity, pullback_projector,
                                  sigma, trace_rank, verify_pullback_theorem)
-from qgalois.comodule import invariant_subspace
+from qgalois.comodule import contragredient, invariant_subspace
 from qgalois.connection import (CoalgebraSpan, CoverageError, StrongConnection,
                                 pullback_connection)
 from qgalois.scalars import QRat, q_power
 from qgalois.structure import Morphism
 from qgalois.tensors import TensorElem
 
-from sweeps import sweep_sigma_diagram
+from sweeps import certified, sweep_idempotent, sweep_sigma_diagram
 
 
 @pytest.fixture(scope="module")
@@ -131,8 +132,91 @@ def test_invalid_connection_is_a_hard_failure(fibration, suq2, u1):
              (u1.gen("u"), TensorElem((suq2, suq2), {(("a*",), ("a",)): QRat(1)}))]
     broken = StrongConnection.from_table(span, fibration, pairs)
     phi = Functional.constant_term(suq2)
-    with pytest.raises(ProjectorError):
+    with pytest.raises(ProjectorError) as exc:
         projector(broken, presets.u1_corep(1), phi, fibration)
+    # E = X Y still holds; the missing g* (x) g leg shows in Y X
+    assert exc.value.report.failures()[0].line() == \
+        "CHECK idempotent FAIL Y X != I_1 at (0, 0): entry 1 - g g*"
+
+
+def _bundle(kind):
+    """(coaction, projector) of podles-line `kind` for an integer winding,
+    else of the trivial base with the corepresentation named `kind`."""
+    if isinstance(kind, int):
+        delta = presets.fibration_coaction()
+        ell, corep = presets.u1_power_connection(kind), presets.u1_corep(kind)
+    else:
+        delta = presets.regular_suq2_coaction()
+        ell = presets.trivial_connection_suq2()
+        corep = {"u": presets.fundamental_corep,
+                 "u-dual": lambda: contragredient(presets.fundamental_corep()),
+                 "trivial": lambda: presets.trivial_corep(delta.A)}[kind]()
+    return delta, projector(ell, corep, Functional.constant_term(delta.A), delta)
+
+
+@pytest.mark.parametrize("kind", [1, -1, 2, -2, 3, -3, 4, -4, "u", "u-dual", "trivial"])
+def test_factorization_certificate_agrees_with_square(collapse, regular_u1, kind):
+    delta, E = _bundle(kind)
+    N = E.corep.n
+    assert certified(E.report, {"idempotent"}) == {"idempotent": True}
+    assert E.report.checks[0].detail == \
+        f"E = X Y with Y X = I_{N}; so E^2 = X (Y X) Y = E"
+    assert sweep_idempotent(E.entries)
+    if isinstance(kind, int):
+        f, delta2 = collapse, regular_u1
+    else:
+        f, delta2 = Morphism.identity(delta.A), delta
+        f.verify()
+    entries, rep = pullback_projector(f, E, delta2)
+    assert rep.ok and sweep_idempotent(entries)
+    assert rep.checks[0].detail == (f"f(E) = f(X) f(Y) with f(Y) f(X) = I_{N}; "
+                                    "so f(E)^2 = f(X) (f(Y) f(X)) f(Y) = f(E)")
+
+
+def _planted(E, **fields):
+    P = copy.copy(E)
+    P.__dict__.update(fields)
+    return P
+
+
+def _identity_pullback(E):
+    ident = Morphism.identity(E.delta.A)
+    ident.verify()
+    return pullback_projector(ident, E, E.delta)
+
+
+def test_entry_off_the_factorization_fails_with_witness(podles, suq2):
+    # g^k g*^k is invariant, so only the factorization can reject the plant
+    _, _, _, E = podles
+    shift = sum((suq2.word(*["g"] * k, *["g*"] * k) for k in range(1, 7)), suq2.zero())
+    entries = [list(row) for row in E.entries]
+    entries[0][1] = entries[0][1] + shift
+    assert not sweep_idempotent(entries)
+    fE, rep = _identity_pullback(_planted(E, entries=entries))
+    failed = {c.name: c.detail for c in rep.failures()}
+    assert failed == {"idempotent": "f(E) != f(X) f(Y) at (0, 1): difference "
+                                    "g g* + g g g* g* + g g g g* g* g* + "
+                                    "g g g g g* g* g* g* + ... (2 more terms)"}
+
+
+def test_factors_with_y_x_not_the_identity_fail_with_witness(podles):
+    # 2E = (2X) Y is exact, but Y (2X) = 2 I, and 2E is not idempotent
+    _, _, _, E = podles
+    doubled = _planted(E, entries=[[e * 2 for e in row] for row in E.entries],
+                       X=[[x * 2 for x in row] for row in E.X])
+    assert not sweep_idempotent(doubled.entries)
+    _, rep = _identity_pullback(doubled)
+    assert [(c.name, c.detail) for c in rep.failures()] == \
+        [("idempotent", "f(Y) f(X) != I_1 at (0, 0): entry 2")]
+
+
+@pytest.mark.parametrize("n", [8, -8])
+def test_projector_at_winding_eight(fibration, suq2, n):
+    E = projector(presets.u1_power_connection(n), presets.u1_corep(n),
+                  Functional.constant_term(suq2), fibration)
+    assert E.report.ok
+    assert E.size == 9
+    assert E.trace().constant_term() == QRat(1)
 
 
 def test_pullback_projector_collapse(podles, collapse, regular_u1, u1):

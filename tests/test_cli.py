@@ -298,7 +298,8 @@ rel z z = z
     assert code == 2
     assert "CHECK" not in out
     assert err.endswith("clash.alg:2: rewrite system is not confluent: "
-                        "reductions differ at overlap z z z z, overlap z z z\n")
+                        "overlap z z z z: reductions differ by -z; "
+                        "overlap z z z: reductions differ by -z\n")
 
 
 def test_non_scalar_counit_is_an_input_error(capsys, tmp_path):

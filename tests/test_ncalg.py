@@ -139,6 +139,12 @@ def test_two_path_reduction_oracle(suq2):
     assert inner_first == suq2.word("a", "g", "g*") * q_power(-2)
 
 
+def test_brief_cuts_long_witnesses(suq2):
+    p = sum((suq2.word(*["g"] * k) * k for k in range(1, 7)), suq2.zero())
+    assert p.brief() == "g + 2 g g + 3 g g g + 4 g g g g + ... (2 more terms)"
+    assert p.brief(6) == str(p)
+
+
 def test_single_rule_system_trivially_confluent():
     gens = [Generator("x", "y"), Generator("y", "x")]
     P = Presentation("pair", gens, [(("x", "y"), {EMPTY: QRat(1)})])
@@ -156,12 +162,14 @@ def test_termination_invariant_enforced():
 def test_non_confluent_system_is_refused_when_built():
     # zzz -> 0 together with zz -> z: the containment ambiguity resolves to
     # 0 one way and z the other, so the presentation is refused and the
-    # error names the overlaps that do not resolve
+    # error names each overlap that does not resolve with its difference
     gens = [Generator("z", "z")]
     with pytest.raises(PresentationError) as exc:
         Presentation("clash", gens, [(("z", "z", "z"), {}),
                                      (("z", "z"), {("z",): QRat(1)})])
-    assert str(exc.value).endswith("reductions differ at overlap z z z z, overlap z z z")
+    assert str(exc.value).endswith("not confluent: "
+                                   "overlap z z z z: reductions differ by -z; "
+                                   "overlap z z z: reductions differ by -z")
 
 
 def test_confluence_resolves_every_overlap_at_the_minimal_degree(suq2):

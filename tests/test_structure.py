@@ -84,9 +84,11 @@ def test_counit_fault_fails_certificate_and_sweep():
 def test_inverse_antipode_must_respect_the_relations():
     u1 = _u1_copy()
     _reattach(u1, antipode_inv={"u": u1.gen("u*") * 2, "u*": u1.gen("u")})
-    failed = {c.name: c.detail for c in verify_hopf_axioms(u1).failures()}
+    failed = {c.name: c for c in verify_hopf_axioms(u1).failures()}
     # S^-1(u u*) = u 2u* = 2, against S^-1(1) = 1
-    assert failed["relation-compat u u*"] == "S^-1 maps it to 1"
+    assert failed["relation-compat u u*"].detail == "S^-1 maps it to 1"
+    assert failed["relation-compat u u*"].tag == \
+        "Delta, eps, S, S^-1 factor through the quotient"
 
 
 def test_iterated_coproduct(suq2):
