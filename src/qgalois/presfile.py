@@ -19,8 +19,8 @@ from .tensors import TensorElem
 
 _RESERVED_NAMES = {"q", "t", "x"}
 
-# largest |e| accepted in a power x^e; expanding a power of an expression in t
-# costs quadratic time in e
+# largest |e| accepted in a power x^e, and largest q- or t-degree of its
+# result; expanding a power costs time and memory at least linear in both
 MAX_EXPONENT = 1000
 
 
@@ -169,6 +169,12 @@ class _ExprParser:
                 self.error(f"exponent {e} exceeds the limit {MAX_EXPONENT}")
             if e < 0 and (set(v) - {0} or not v):
                 self.error("negative powers only apply to nonzero t-free scalars")
+            # degrees multiply, so a tower like (q^1000)^1000 stops here
+            qdeg = max((max(len(c.num), len(c.den)) - 1 for c in v.values()), default=0)
+            for name, deg in (("q", qdeg), ("t", max(v, default=0))):
+                if abs(e) * deg > MAX_EXPONENT:
+                    self.error(f"power of {name}-degree {abs(e) * deg} exceeds the limit "
+                               f"{MAX_EXPONENT}")
             if not set(v) - {0}:
                 return _t_const(v.get(0, QRat(0)) ** e)
             out = _t_const(1)

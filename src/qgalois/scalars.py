@@ -4,6 +4,10 @@ A value is a fraction of integer-coefficient polynomials, reduced at
 construction: gcd(numerator, denominator) = 1 over Z[q] and the denominator
 has a positive leading coefficient.  Equality is therefore plain structural
 comparison, which the rewriting kernel relies on everywhere.
+
+Nearly every value is Laurent, over c q^k: its gcd is q^min(val n, k) times
+gcd(content n, |c|), with no Z[q] gcd, and a monomial factor c q^k in a product
+is a shift and a scale.
 """
 
 from __future__ import annotations
@@ -50,19 +54,18 @@ def _pneg(a):
 def _pmul(a, b):
     if not a or not b:
         return ()
+    if not any(b[:-1]):
+        a, b = b, a
+    if not any(a[:-1]):
+        # a monomial factor c q^k shifts and scales the other one
+        c = a[-1]
+        return _trim((0,) * (len(a) - 1) + (b if c == 1 else tuple(c * y for y in b)))
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return _trim(out)
-
-
-def _content(a) -> int:
-    g = 0
-    for c in a:
-        g = _igcd(g, abs(c))
-    return g
 
 
 def _val(a) -> int:
@@ -74,7 +77,7 @@ def _val(a) -> int:
 
 
 def _primitive(a):
-    g = _content(a)
+    g = _igcd(*a)
     return a if g == 1 else tuple(c // g for c in a)
 
 
@@ -112,7 +115,7 @@ def _pgcd(a, b):
     va, vb = _val(a), _val(b)
     k = va if va < vb else vb
     a, b = a[va:], b[vb:]
-    ca, cb = _content(a), _content(b)
+    ca, cb = _igcd(*a), _igcd(*b)
     c = _igcd(ca, cb)
     if len(a) > 1 and len(b) > 1:
         a = tuple(x // ca for x in a)
@@ -232,6 +235,18 @@ class QRat:
             return (), (1,)
         if d == (1,):
             return n, d
+        if not any(d[:-1]):
+            # d = c q^k: the gcd is q^min(val n, k) gcd(content n, |c|), here
+            # given the sign of c so that the new denominator is positive
+            k, c = len(d) - 1, d[-1]
+            v = min(_val(n), k)
+            g = _igcd(c, *n)
+            if c < 0:
+                g = -g
+            if v or g != 1:
+                n = tuple(x // g for x in n[v:]) if g != 1 else n[v:]
+                d = (0,) * (k - v) + (c // g,)
+            return n, d
         g = _pgcd(n, d)
         if g != (1,):
             n = _pdiv_exact(n, g)
@@ -252,6 +267,8 @@ class QRat:
 
     def __add__(self, other):
         other = qrat(other)
+        if self.den == other.den:
+            return QRat._make(_padd(self.num, other.num), self.den)
         return QRat._make(_padd(_pmul(self.num, other.den), _pmul(other.num, self.den)),
                           _pmul(self.den, other.den))
 
@@ -259,6 +276,8 @@ class QRat:
 
     def __sub__(self, other):
         other = qrat(other)
+        if self.den == other.den:
+            return QRat._make(_padd(self.num, _pneg(other.num)), self.den)
         return QRat._make(_padd(_pmul(self.num, other.den), _pneg(_pmul(other.num, self.den))),
                           _pmul(self.den, other.den))
 
@@ -266,7 +285,11 @@ class QRat:
         return qrat(other) - self
 
     def __neg__(self):
-        return QRat._make(_pneg(self.num), self.den)
+        # the negation of a reduced value is reduced
+        out = object.__new__(QRat)
+        object.__setattr__(out, "num", _pneg(self.num))
+        object.__setattr__(out, "den", self.den)
+        return out
 
     def __mul__(self, other):
         other = qrat(other)

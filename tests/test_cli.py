@@ -355,6 +355,22 @@ def test_huge_exponent_is_an_input_error(tmp_path):
     assert f"power.alg:{line}: exponent 100000 exceeds the limit 1000" in proc.stderr
 
 
+def test_exponent_tower_is_an_input_error(tmp_path):
+    # each exponent is within the limit, but the result's q-degree is 10^7
+    f = tmp_path / "tower.alg"
+    f.write_text(presets.SUQ2_SOURCE.replace("rel a* a = 1 - g g*",
+                                             "rel a* a = ((q^1000)^1000)^10 a a*"))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "qgalois.cli", "verify", "--input", str(f)],
+                          capture_output=True, text=True, timeout=5, env=env)
+    assert proc.returncode == 2
+    line = presets.SUQ2_SOURCE[:presets.SUQ2_SOURCE.index("rel a* a")].count("\n") + 1
+    assert f"tower.alg:{line}: power of q-degree 1000000 exceeds the limit 1000" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_malformed_header_is_an_input_error_under_optimization(tmp_path):
     # header fields are checked by code that python -O keeps
     f = tmp_path / "header.alg"

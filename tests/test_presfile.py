@@ -179,3 +179,12 @@ def test_exponent_limit(suq2):
         parse_element(suq2, "q^1001 a")
     with pytest.raises(PresentationFileError, match="exceeds the limit"):
         parse_element(suq2, "q^-1001 a")
+    # the limit holds for the degree of the result, in q and in t
+    assert parse_element(suq2, "(q^2)^-500 a") == suq2.gen("a") * q_power(-1000)
+    with pytest.raises(PresentationFileError, match="q-degree 1002 exceeds the limit"):
+        parse_element(suq2, "(q^-2)^501 a")
+    with pytest.raises(PresentationFileError, match="q-degree 1000000 exceeds the limit"):
+        parse_element(suq2, "((q^1000)^1000)^1000 a")
+    assert max(parse_expression("(1 + t^2)^500 a", [suq2], allow_t=True)[(("a",),)]) == 1000
+    with pytest.raises(PresentationFileError, match="t-degree 1002 exceeds the limit"):
+        parse_expression("(1 + t^2)^501 a", [suq2], allow_t=True)

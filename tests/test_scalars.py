@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qgalois.scalars import (PoleError, QRat, ScalarParseError, _pdiv_exact, _pgcd,
-                             _pmul, parse_scalar, q_power, qrat)
+from qgalois.scalars import (PoleError, QRat, ScalarParseError, _padd, _pdiv_exact, _pgcd,
+                             _pmul, _pneg, parse_scalar, q_power, qrat)
 
 q = q_power(1)
 
@@ -214,3 +214,68 @@ def test_polynomial_arithmetic_matches_sympy(a, b):
         # the canonical form reached through a cancelling denominator
         assert got == QRat(_pmul(got.num, (2, 1)), (2, 1))
         assert not got.num or got.num[-1] != 0
+
+
+# ---------------------------------------------------------------------------
+# Laurent values: a denominator c q^k is reduced without the Z[q] gcd, and a
+# monomial factor is a shift and a scale; both must agree with the general
+# route, with sympy and with a schoolbook product
+
+@st.composite
+def laurent_pairs(draw):
+    """Any numerator, with leading zeros and a content, over c q^k."""
+    shift = draw(st.integers(min_value=0, max_value=45))
+    content = draw(st.integers(min_value=1, max_value=12))
+    body = draw(st.lists(st.integers(min_value=-30, max_value=30), min_size=1, max_size=8))
+    c = draw(st.integers(min_value=1, max_value=12)) * draw(st.sampled_from((1, -1)))
+    k = draw(st.integers(min_value=0, max_value=40))
+    n = (0,) * shift + tuple(content * x for x in body)
+    while n and not n[-1]:
+        n = n[:-1]
+    return n, (0,) * k + (c,)
+
+
+def general_reduce(n, d):
+    g = _pgcd(n, d)
+    n, d = _pdiv_exact(n, g), _pdiv_exact(d, g)
+    return (_pneg(n), _pneg(d)) if d[-1] < 0 else (n, d)
+
+
+def schoolbook(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(laurent_pairs(), laurent_pairs())
+def test_laurent_fast_paths_match_the_general_route(pair, other):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("q")
+
+    def expr(cs):
+        return sum(c * x ** i for i, c in enumerate(cs))
+
+    n, d = pair
+    r = QRat(n, d)
+    assert (r.num, r.den) == general_reduce(n, d)
+    assert sympy.cancel(expr(r.num) / expr(r.den) - expr(n) / expr(d)) == 0
+    if r.num:
+        p, s = sympy.fraction(sympy.cancel(expr(n) / expr(d)))
+        assert sympy.degree(p, x) == len(r.num) - 1
+        assert sympy.degree(s, x) == len(r.den) - 1
+    # a monomial factor on either side
+    m = other[1]
+    if n:
+        assert _pmul(m, n) == _pmul(n, m) == schoolbook(m, n)
+    # a shared denominator: a unit constant term keeps each value over d
+    a, b = QRat((1,) + n, d), QRat((-1,) + other[0], d)
+    assert a.den == b.den
+    for got, want in ((a + b, _padd(_pmul(a.num, b.den), _pmul(b.num, a.den))),
+                      (a - b, _padd(_pmul(a.num, b.den), _pneg(_pmul(b.num, a.den))))):
+        assert (got.num, got.den) == general_reduce(want, _pmul(a.den, b.den))
+    assert -a == QRat(_pneg(a.num), a.den)
