@@ -1,13 +1,13 @@
 """qgalois: exact symbolic workbench for quantum-group comodule algebras,
 strong connections, and associated noncommutative vector bundles over Q(q)."""
 
-from .scalars import QRat, PoleError, ScalarParseError, parse_scalar, q_power, qrat
+from .scalars import QRat, PoleError, q_power, qrat
 from .ncalg import Generator, NCPoly, Presentation, PresentationError, RewriteRule, \
     TerminationError
 from .tensors import LegMismatchError, TensorElem
 from .report import Check, Report
 from .structure import HopfData, Morphism, antipode, antipode_inv, attach_hopf, \
-    coproduct, counit, extend_algebra_map, verify_hopf_axioms, verify_morphism
+    coproduct, counit, extend_algebra_map, verify_hopf_axioms
 from .comodule import Coaction, Corepresentation, contragredient, corep_equivalence, \
     cotensor_basis, invariant_subspace, left_coaction, regular_coaction, \
     trivial_coaction, verify_coaction, verify_corepresentation

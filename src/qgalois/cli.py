@@ -64,12 +64,6 @@ def _parse_q(spec: str):
     return q0
 
 
-def _functional(alg: Presentation, choice: str) -> Functional:
-    if choice != "constant-term":
-        raise InputError(f"unknown functional {choice!r}")
-    return Functional.constant_term(alg)
-
-
 def _specialize_poly(p: NCPoly, q0: Fraction) -> str:
     values = {w: qrat(c.evaluate(q0)) for w, c in p.terms.items()}
     return format_terms(((w, c) for w, c in values.items() if not c.is_zero),
@@ -167,8 +161,7 @@ def _build_projector(args):
             raise InputError(f"unknown corep {args.corep!r} (u, u-dual, trivial)")
     else:
         raise InputError("projector supports presets podles-line N and trivial-base")
-    phi = _functional(delta.A, args.functional)
-    return projector(ell, corep, phi, delta)
+    return projector(ell, corep, Functional.constant_term(delta.A), delta)
 
 
 def cmd_projector(args) -> int:
@@ -239,8 +232,8 @@ def _resolve_pullback_inputs(args):
 def cmd_pullback(args) -> int:
     q0 = _parse_q(args.q)
     f, ell, corep, delta, delta2 = _resolve_pullback_inputs(args)
-    phi2 = _functional(delta2.A, args.functional)
-    rep, artifacts = verify_pullback_theorem(f, ell, corep, phi2, delta, delta2)
+    rep, artifacts = verify_pullback_theorem(f, ell, corep,
+                                             Functional.constant_term(delta2.A), delta, delta2)
     _emit(rep)
     payload = {"command": "pullback", "report": rep.to_dict(), "q": "symbolic"}
     if artifacts:
@@ -314,9 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--preset", nargs="+", metavar="NAME",
                        help="suq2 | u1 | podles-line N | trivial-base")
         p.add_argument("--input", metavar="PATH", help="presentation file")
-        p.add_argument("--q", default="symbolic", metavar="SPEC",
-                       help="symbolic or a rational value like 1 or 3/7")
-        p.add_argument("--functional", default="constant-term")
         p.add_argument("--output", metavar="PATH", help="write a JSON artifact")
 
     pv = sub.add_parser("verify", help="run verification suites")
@@ -331,6 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--morphism", default=None)
     pb.add_argument("--connection", default=None)
     pb.add_argument("--corep-name", default=None)
+    for p in (pp, pb):
+        p.add_argument("--q", default="symbolic", metavar="SPEC",
+                       help="symbolic or a rational value like 1 or 3/7")
     pr = sub.add_parser("report", help="render a stored artifact")
     pr.add_argument("--input", metavar="PATH")
     return ap

@@ -2,9 +2,11 @@
 coactions, corepresentations, connections and morphisms.
 
 Expressions are sums of terms COEFF WORD, words are space-separated generator
-names, `1` is the unit, tensor legs are separated by `(x)`.  Scalars follow
-the shared grammar (integers, q, + - * /, ^); join elements may also use the
-central symbol t.
+names, `1` is the unit, tensor legs are separated by `(x)`.  Coefficients are
+scalars in Q(q) (integers, q, + - * /, ^); join elements may also use the
+central symbol t.  `_ExprParser` is the one grammar that turns text into
+scalars, and it bounds each power x^e: its exponent, the q- and t-degree of
+its result and the estimated bit length of its integer coefficients.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ _RESERVED_NAMES = {"q", "t", "x"}
 # largest |e| accepted in a power x^e, and largest q- or t-degree of its
 # result; expanding a power costs time and memory at least linear in both
 MAX_EXPONENT = 1000
+# largest estimated bit length of an integer coefficient of a power's result;
+# at this size a power of q-degree 1000 still expands in seconds, not minutes
+MAX_COEFFICIENT_BITS = 3000
 
 
 class PresentationFileError(Exception):
@@ -175,6 +180,15 @@ class _ExprParser:
                 if abs(e) * deg > MAX_EXPONENT:
                     self.error(f"power of {name}-degree {abs(e) * deg} exceeds the limit "
                                f"{MAX_EXPONENT}")
+            # so do bit lengths: a sum of n terms below 2^b, raised to e, stays
+            # below 2^(e (b + log2 n)), so a tower like (2^1000)^1000 stops too
+            polys = [p for c in v.values() for p in (c.num, c.den)]
+            b = max((abs(x).bit_length() for p in polys for x in p), default=0)
+            n = len(v) * max((sum(1 for x in p if x) for p in polys), default=0)
+            bits = abs(e) * (b + (n - 1).bit_length())
+            if bits > MAX_COEFFICIENT_BITS:
+                self.error(f"power with coefficients of an estimated {bits} bits exceeds "
+                           f"the limit {MAX_COEFFICIENT_BITS}")
             if not set(v) - {0}:
                 return _t_const(v.get(0, QRat(0)) ** e)
             out = _t_const(1)
@@ -304,25 +318,21 @@ def parse_expression(text: str, legs, allow_t: bool = False,
     return {k: v for k, v in acc.items() if v}
 
 
+def _t_free_terms(text: str, legs, filename: str, line: int) -> dict:
+    """Parse into {tuple-of-words: QRat}; without allow_t the grammar refuses
+    t, so every coefficient is {0: c} with c nonzero."""
+    raw = parse_expression(text, legs, filename=filename, line=line)
+    return {key: ts[0] for key, ts in raw.items()}
+
+
 def parse_element(alg: Presentation, text: str, filename: str = "<string>",
                   line: int = 0) -> NCPoly:
-    raw = parse_expression(text, [alg], allow_t=False, filename=filename, line=line)
-    terms = {}
-    for (w,), ts in raw.items():
-        if set(ts) - {0}:
-            raise PresentationFileError("t is not allowed here", filename, line)
-        terms[w] = ts.get(0, QRat(0))
-    return NCPoly(alg, terms)
+    terms = _t_free_terms(text, [alg], filename, line)
+    return NCPoly(alg, {w: c for (w,), c in terms.items()})
 
 
 def parse_tensor(legs, text: str, filename: str = "<string>", line: int = 0) -> TensorElem:
-    raw = parse_expression(text, list(legs), allow_t=False, filename=filename, line=line)
-    terms = {}
-    for key, ts in raw.items():
-        if set(ts) - {0}:
-            raise PresentationFileError("t is not allowed here", filename, line)
-        terms[key] = ts.get(0, QRat(0))
-    return TensorElem(legs, terms)
+    return TensorElem(legs, _t_free_terms(text, list(legs), filename, line))
 
 
 def parse_join_element(delta: Coaction, text: str, cap: int = 4,

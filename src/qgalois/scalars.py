@@ -8,6 +8,10 @@ comparison, which the rewriting kernel relies on everywhere.
 Nearly every value is Laurent, over c q^k: its gcd is q^min(val n, k) times
 gcd(content n, |c|), with no Z[q] gcd, and a monomial factor c q^k in a product
 is a shift and a scale.
+
+Values are printed here; text is read into them only by the presentation-file
+grammar in `qgalois.presfile`, which bounds exponents, degrees and coefficient
+sizes.
 """
 
 from __future__ import annotations
@@ -15,17 +19,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as _igcd
 
-__all__ = ["QRat", "PoleError", "ScalarParseError", "qrat", "q_power", "parse_scalar"]
+__all__ = ["QRat", "PoleError", "qrat", "q_power"]
 
 
 class PoleError(ArithmeticError):
     """Evaluation of a rational function at a zero of its denominator."""
-
-
-class ScalarParseError(ValueError):
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (column {position + 1})")
-        self.position = position
 
 
 # ---------------------------------------------------------------------------
@@ -398,136 +396,6 @@ def q_power(k: int = 1) -> QRat:
     if k >= 0:
         return QRat(tuple([0] * k + [1]))
     return QRat((1,), tuple([0] * (-k) + [1]))
-
-
-# ---------------------------------------------------------------------------
-# scalar grammar: integers, q, + - * /, ^ with integer exponents, parentheses
-
-_OPS = set("+-*/^()")
-
-
-def _tokenize(text: str):
-    toks = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(("int", int(text[i:j]), i))
-            i = j
-            continue
-        if ch == "q" and (i + 1 == n or not (text[i + 1].isalnum() or text[i + 1] == "_")):
-            toks.append(("q", "q", i))
-            i += 1
-            continue
-        if ch in _OPS:
-            toks.append((ch, ch, i))
-            i += 1
-            continue
-        raise ScalarParseError(f"unexpected character {ch!r}", i)
-    return toks
-
-
-class _ScalarParser:
-    def __init__(self, toks, length):
-        self.toks = toks
-        self.pos = 0
-        self.length = length
-
-    def _peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else (None, None, self.length)
-
-    def _next(self):
-        t = self._peek()
-        self.pos += 1
-        return t
-
-    def parse(self) -> QRat:
-        v = self.expr()
-        kind, _, at = self._peek()
-        if kind is not None:
-            raise ScalarParseError("trailing input", at)
-        return v
-
-    def expr(self) -> QRat:
-        v = self.term()
-        while True:
-            kind, _, _ = self._peek()
-            if kind == "+":
-                self._next()
-                v = v + self.term()
-            elif kind == "-":
-                self._next()
-                v = v - self.term()
-            else:
-                return v
-
-    def term(self) -> QRat:
-        v = self.unary()
-        while True:
-            kind, _, at = self._peek()
-            if kind == "*":
-                self._next()
-                v = v * self.unary()
-            elif kind == "/":
-                self._next()
-                d = self.unary()
-                if d.is_zero:
-                    raise ScalarParseError("division by zero", at)
-                v = v / d
-            else:
-                return v
-
-    def unary(self) -> QRat:
-        kind, _, _ = self._peek()
-        if kind == "-":
-            self._next()
-            return -self.unary()
-        if kind == "+":
-            self._next()
-            return self.unary()
-        return self.power()
-
-    def power(self) -> QRat:
-        v = self.atom()
-        kind, _, at = self._peek()
-        if kind == "^":
-            self._next()
-            sign = 1
-            kind, val, at = self._next()
-            if kind == "-":
-                sign = -1
-                kind, val, at = self._next()
-            if kind != "int":
-                raise ScalarParseError("integer exponent expected after '^'", at)
-            if v.is_zero and sign < 0:
-                raise ScalarParseError("negative power of zero", at)
-            v = v ** (sign * val)
-        return v
-
-    def atom(self) -> QRat:
-        kind, val, at = self._next()
-        if kind == "int":
-            return QRat(val)
-        if kind == "q":
-            return q_power(1)
-        if kind == "(":
-            v = self.expr()
-            kind, _, at = self._next()
-            if kind != ")":
-                raise ScalarParseError("expected ')'", at)
-            return v
-        raise ScalarParseError("expected integer, 'q' or '('", at)
-
-
-def parse_scalar(text: str) -> QRat:
-    """Parse a scalar expression in the shared grammar into canonical form."""
-    return _ScalarParser(_tokenize(text), len(text)).parse()
 
 
 def needs_parens(s: str) -> bool:

@@ -264,10 +264,6 @@ class Morphism:
         return rep
 
 
-def verify_morphism(m: Morphism) -> Report:
-    return m.verify()
-
-
 def extend_algebra_map(m: Morphism, p: NCPoly) -> NCPoly:
     """Evaluate a verified morphism on an arbitrary element."""
     if not m.verified:

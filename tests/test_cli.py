@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qgalois import presets
-from qgalois.cli import main
+from qgalois.cli import console_main, main
 
 
 def run(capsys, *argv):
@@ -230,12 +230,34 @@ row u
     assert code == 0
 
 
-@pytest.mark.parametrize("command", ["pullback", "projector"])
-def test_max_degree_is_verify_only(capsys, command):
-    # no pullback certificate is truncated, so there is no degree to set
+@pytest.mark.parametrize("argv", [
+    pytest.param(["pullback", "--preset", "podles-line", "1", "--max-degree", "3"],
+                 id="pullback"),
+    pytest.param(["projector", "--preset", "podles-line", "1", "--max-degree", "3"],
+                 id="projector"),
+    pytest.param(["verify", "--preset", "u1", "--q", "2"], id="verify-q"),
+    *(pytest.param([command, "--preset", "podles-line", "1", "--functional",
+                    "constant-term"], id=f"{command}-functional")
+      for command in ("verify", "projector", "pullback")),
+])
+def test_max_degree_is_verify_only(capsys, argv):
+    # no pullback certificate is truncated, so there is no degree to set;
+    # verify specializes nothing at a rational q; and constant-term is the
+    # only functional, so no command takes one
     with pytest.raises(SystemExit) as exc:
-        main([command, "--preset", "podles-line", "1", "--max-degree", "3"])
+        main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["verify", "--preset", "u1"], 0),
+    (["verify", "--preset", "nonesuch"], 2),
+], ids=["u1", "unknown-preset"])
+def test_console_main_exits_with_the_code(capsys, monkeypatch, argv, code):
+    monkeypatch.setattr(sys, "argv", ["qgalois", *argv])
+    with pytest.raises(SystemExit) as exc:
+        console_main()
+    assert exc.value.code == code
 
 
 def test_verify_needs_preset_or_input(capsys):
@@ -368,6 +390,24 @@ def test_exponent_tower_is_an_input_error(tmp_path):
     assert proc.returncode == 2
     line = presets.SUQ2_SOURCE[:presets.SUQ2_SOURCE.index("rel a* a")].count("\n") + 1
     assert f"tower.alg:{line}: power of q-degree 1000000 exceeds the limit 1000" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_coefficient_tower_is_an_input_error(tmp_path):
+    # each exponent and degree is within its limit, but the result's
+    # coefficient would have 10^9 bits
+    f = tmp_path / "tower.alg"
+    f.write_text(presets.SUQ2_SOURCE.replace("rel a* a = 1 - g g*",
+                                             "rel a* a = ((2^1000)^1000)^1000 a a*"))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "qgalois.cli", "verify", "--input", str(f)],
+                          capture_output=True, text=True, timeout=5, env=env)
+    assert proc.returncode == 2
+    line = presets.SUQ2_SOURCE[:presets.SUQ2_SOURCE.index("rel a* a")].count("\n") + 1
+    assert (f"tower.alg:{line}: power with coefficients of an estimated 1001000 bits "
+            "exceeds the limit 3000") in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+import sympy
 
 from qgalois.linalg import (RowSpace, add_scaled, independent_subset,
                             invert_scalar_matrix, nullspace)
@@ -39,7 +40,6 @@ def combination(coeffs, vectors):
 
 
 def sympy_rank(cols, m):
-    sympy = pytest.importorskip("sympy")
     q = sympy.Symbol("q")
 
     def conv(c):

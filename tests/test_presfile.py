@@ -1,9 +1,11 @@
+from fractions import Fraction
+
 import pytest
 
 from qgalois import presets
 from qgalois.presfile import (PresentationFileError, parse_element,
                               parse_expression, parse_tensor, parse_workspace)
-from qgalois.scalars import QRat, q_power
+from qgalois.scalars import QRat, q_power, qrat
 from qgalois.tensors import TensorElem
 
 
@@ -33,6 +35,20 @@ def test_parse_element_terms(suq2):
     assert parse_element(suq2, "- -a") == a
     assert parse_expression("(1-t)^2 a", [suq2], allow_t=True) == \
         {(("a",),): {0: QRat(1), 1: QRat(-2), 2: QRat(1)}}
+
+
+def test_scalar_coefficients(suq2):
+    a, q = suq2.gen("a"), q_power(1)
+    for text, value in (("q^-2", q_power(-2)), ("(q^2-1)/(q+1)", q - 1),
+                        ("3/2", qrat(Fraction(3, 2))), ("-q", -q), ("2*q^3", 2 * q_power(3)),
+                        ("(q+1)^-1", QRat(1) / (q + 1))):
+        assert parse_element(suq2, f"{text} a") == a * value
+
+
+def test_malformed_scalar_rejected(suq2):
+    for text in ("q^x", "(q+1", "q q"):
+        with pytest.raises(PresentationFileError):
+            parse_element(suq2, f"{text} a")
 
 
 def test_element_format_round_trip(suq2):
@@ -188,3 +204,13 @@ def test_exponent_limit(suq2):
     assert max(parse_expression("(1 + t^2)^500 a", [suq2], allow_t=True)[(("a",),)]) == 1000
     with pytest.raises(PresentationFileError, match="t-degree 1002 exceeds the limit"):
         parse_expression("(1 + t^2)^501 a", [suq2], allow_t=True)
+    # and for the estimated bit length of its coefficients: e (b + log2 n) for
+    # n terms of at most b bits, here b = 1001 for 2^1000
+    assert parse_element(suq2, "(2^1000)^2 a") == suq2.gen("a") * 2 ** 2000
+    assert parse_element(suq2, "(2^1000)^-2 a") == suq2.gen("a") * qrat(Fraction(1, 2 ** 2000))
+    for text in ("(2^1000)^3 a", "(2^1000)^-3 a", "((2^1000)^1000)^1000 a"):
+        with pytest.raises(PresentationFileError, match="exceeds the limit 3000"):
+            parse_element(suq2, text)
+    assert max(parse_expression("(1 + 2^1000*t)^2 a", [suq2], allow_t=True)[(("a",),)]) == 2
+    with pytest.raises(PresentationFileError, match="estimated 3006 bits exceeds"):
+        parse_expression("(1 + 2^1000*t)^3 a", [suq2], allow_t=True)
