@@ -10,9 +10,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import structure
-from .comodule import Coaction, Corepresentation, cotensor_basis, invariant_subspace
+from .comodule import (Coaction, Corepresentation, _flatten, cotensor_basis,
+                       invariant_subspace)
 from .connection import StrongConnection, check_equivariance, pullback_connection
-from .linalg import (RowSpace, add_scaled, independent_subset, invert_scalar_matrix,
+from .linalg import (ONE, RowSpace, combine, independent_subset, invert_scalar_matrix,
                      nullspace)
 from .ncalg import EMPTY, NCPoly, Presentation, PresentationError
 from .report import Report
@@ -64,11 +65,11 @@ def sigma(phi: Functional, ell: StrongConnection, delta: Coaction,
     A = delta.A
     if a.alg is not A:
         raise PresentationError("sigma argument lives in the wrong algebra")
-    out = A.zero()
-    for a_word, h_slice in delta.apply(a).grouped(0).items():
-        out = out + NCPoly(A, {a_word: QRat(1)}, normal=True) * _tau(
-            phi, ell, h_slice if h is None else h * h_slice)
-    return out
+    taus = ((a_word, _tau(phi, ell, h_slice if h is None else h * h_slice))
+            for a_word, h_slice in delta.apply(a).grouped(0).items())
+    # each a_word tau is a product of words: the sum is normalized once
+    return NCPoly(A, combine(({a_word + w: c for w, c in tau.terms.items()}, ONE)
+                             for a_word, tau in taus))
 
 
 def _tau(phi: Functional, ell: StrongConnection, h: NCPoly) -> NCPoly:
@@ -123,15 +124,15 @@ def connection_expansion(ell: StrongConnection, c: Corepresentation):
     a_mu = [NCPoly(A, r, normal=True) for r in rows]
     r_table: dict = {}
     for (i, j), t in values.items():
-        rij = [A.zero() for _ in a_mu]
+        rij = [{} for _ in a_mu]
         for second_word, first_slice in t.grouped(1).items():
             coords = solver.coordinates(dict(first_slice.terms))
             if coords is None:
                 raise ArithmeticError("first legs escaped their own span")
             for mu, coeff in enumerate(coords):
                 if not coeff.is_zero:
-                    rij[mu] = rij[mu] + NCPoly(A, {second_word: coeff}, normal=True)
-        r_table[(i, j)] = rij
+                    rij[mu][second_word] = coeff
+        r_table[(i, j)] = [NCPoly(A, terms, normal=True) for terms in rij]
     return a_mu, r_table
 
 
@@ -172,18 +173,6 @@ def _certify_factorization(rep: Report, E, X, Y, alg: Presentation, fname: str =
             tag=f"{e}^2 = {e}")
 
 
-def mat_eq(X, Y) -> bool:
-    if len(X) != len(Y):
-        return False
-    for rx, ry in zip(X, Y):
-        if len(rx) != len(ry):
-            return False
-        for a, b in zip(rx, ry):
-            if a != b:
-                return False
-    return True
-
-
 def poly_identity(alg: Presentation, n: int):
     return [[alg.one() if i == j else alg.zero() for j in range(n)] for i in range(n)]
 
@@ -221,10 +210,8 @@ class Projector:
         return len(self.entries)
 
     def trace(self) -> NCPoly:
-        out = self.delta.A.zero()
-        for k in range(self.size):
-            out = out + self.entries[k][k]
-        return out
+        return NCPoly(self.delta.A, combine((self.entries[k][k].terms, ONE)
+                                            for k in range(self.size)), normal=True)
 
     def __getitem__(self, rc):
         r, c = rc
@@ -334,10 +321,10 @@ def align_blocks(f: Morphism, E: Projector, delta2: Coaction) -> PullbackCertifi
             tag="f(E) = [[e',0],[d,0]]")
     e_prime = [row[:k] for row in F[:k]]
     d_block = [row[:k] for row in F[k:]]
-    idem_ok = mat_eq(mat_mul(e_prime, e_prime), e_prime)
+    idem_ok = mat_mul(e_prime, e_prime) == e_prime
     rep.add("block-idempotent", idem_ok,
             "e' is idempotent" if idem_ok else "e' fails idempotence", tag="e'^2 = e'")
-    absorb_ok = mat_eq(mat_mul(d_block, e_prime), d_block)
+    absorb_ok = mat_mul(d_block, e_prime) == d_block
     rep.add("block-absorption", absorb_ok,
             "d e' = d" if absorb_ok else "d e' != d", tag="d e' = d")
     # conjugation by T = [[1,0],[d,1]]
@@ -349,7 +336,7 @@ def align_blocks(f: Morphism, E: Projector, delta2: Coaction) -> PullbackCertifi
             T_inv[k + r][c] = -d_block[r][c]
     diag = [[e_prime[r][c] if r < k and c < k else target.zero()
              for c in range(N)] for r in range(N)]
-    conj_ok = mat_eq(mat_mul(T, mat_mul(diag, T_inv)), F)
+    conj_ok = mat_mul(T, mat_mul(diag, T_inv)) == F
     rep.add("conjugation", conj_ok,
             "f(E) = T diag(e',0) T^-1" if conj_ok else "conjugation identity fails",
             tag="f(E) = [[1,0],[d,1]] diag(e',0) [[1,0],[d,1]]^-1")
@@ -401,9 +388,9 @@ def verify_pullback_theorem(f: Morphism, ell: StrongConnection, c: Corepresentat
             Wb = scalar_block_matrix(f.target, Wt, c.n)
             Wb_inv = scalar_block_matrix(f.target, W_inv, c.n)
             conj = mat_mul(Wb, mat_mul(cert.e_prime, Wb_inv))
-            recon_ok = mat_eq(conj, E2.entries)
+            recon_ok = conj == E2.entries
             if recon_ok:
-                detail = ("e' = E' entrywise" if mat_eq(cert.e_prime, E2.entries)
+                detail = ("e' = E' entrywise" if cert.e_prime == E2.entries
                           else "e' = E' after the explicit change of basis W")
     else:
         recon_ok = False
@@ -426,14 +413,9 @@ def projector_similarity(E: Projector, Q) -> Report:
     if Q_inv is None:
         return rep
     H = c.H
-    entries = [[H.zero() for _ in range(c.n)] for _ in range(c.n)]
-    for i in range(c.n):
-        for j in range(c.n):
-            acc = H.zero()
-            for k in range(c.n):
-                for l in range(c.n):
-                    acc = acc + c[k, l] * (Qm[i][k] * Q_inv[l][j])
-            entries[i][j] = acc
+    entries = [[NCPoly(H, combine((c[k, l].terms, Qm[i][k] * Q_inv[l][j])
+                                  for k in range(c.n) for l in range(c.n)), normal=True)
+                for j in range(c.n)] for i in range(c.n)]
     c2 = Corepresentation(f"{c.name}-conj", H, entries)
     E2 = projector(E.ell, c2, E.phi, E.delta)
     same_basis = len(E2.a_mu) == len(E.a_mu) and all(
@@ -446,7 +428,7 @@ def projector_similarity(E: Projector, Q) -> Report:
     A = E.delta.A
     Qb = scalar_block_matrix(A, _id_tensor(Qm, len(E.a_mu)), 1)
     Qb_inv = scalar_block_matrix(A, _id_tensor(Q_inv, len(E.a_mu)), 1)
-    ok = mat_eq(E2.entries, mat_mul(Qb, mat_mul(E.entries, Qb_inv)))
+    ok = E2.entries == mat_mul(Qb, mat_mul(E.entries, Qb_inv))
     rep.add("projector-similarity", ok,
             "E_{c'} = (1 (x) Q) E (1 (x) Q)^-1" if ok else "conjugation fails",
             tag="E_{QcQ^-1} = (1 (x) Q) E (1 (x) Q)^-1")
@@ -475,18 +457,15 @@ def cotensor_compare(E: Projector, c: Corepresentation, delta: Coaction,
     rep = Report()
     if c is not E.corep:
         raise PresentationError("cotensor comparison must use the projector's corepresentation")
-    A, H = delta.A, delta.H
+    A = delta.A
     n = c.n
     # colinearity of the r-functions, the identity behind membership
     colin_ok = True
     for (i, j), rvec in E.r_table.items():
         for mu, r in enumerate(rvec):
-            lhs = delta.apply(r)
-            rhs = TensorElem.zero((A, H))
-            for k in range(n):
-                rhs = rhs + TensorElem.from_poly(E.r_table[(i, k)][mu]).outer(
-                    TensorElem.from_poly(c[k, j]))
-            if lhs != rhs:
+            rhs = combine(({(u, v): cv for v, cv in c[k, j].terms.items()}, cu)
+                          for k in range(n) for u, cu in E.r_table[(i, k)][mu].terms.items())
+            if delta.apply(r).terms != rhs:
                 colin_ok = False
     rep.add("r-colinearity", colin_ok,
             "delta(r_mu(c_ij)) = sum_k r_mu(c_ik) (x) c_kj" if colin_ok
@@ -498,47 +477,25 @@ def cotensor_compare(E: Projector, c: Corepresentation, delta: Coaction,
     for b in b_basis:
         for row in range(E.size):
             vec = [b * E.entries[row][col] for col in range(E.size)]
-            img = [A.zero() for _ in range(n)]
-            for col, (nu, jj) in enumerate(E.labels):
-                for j in range(n):
-                    img[j] = img[j] + vec[col] * E.r_table[(jj, j)][nu]
+            img = [NCPoly(A, combine(((vec[col] * E.r_table[(jj, j)][nu]).terms, ONE)
+                                     for col, (nu, jj) in enumerate(E.labels)), normal=True)
+                   for j in range(n)]
             candidates.append((vec, img))
     member_ok = True
     for _, img in candidates:
         for j in range(n):
-            lhs = delta.apply(img[j])
-            rhs = TensorElem.zero((A, H))
-            for i in range(n):
-                rhs = rhs + TensorElem.from_poly(img[i]).outer(
-                    TensorElem.from_poly(c[i, j]))
-            if lhs != rhs:
+            rhs = combine(({(u, v): cv for v, cv in c[i, j].terms.items()}, cu)
+                          for i in range(n) for u, cu in img[i].terms.items())
+            if delta.apply(img[j]).terms != rhs:
                 member_ok = False
     rep.add("membership", member_ok,
             "Phi lands in the cotensor product" if member_ok else "image escapes",
             tag="delta(x_j) = sum_i x_i (x) c_ij")
     # injectivity on the generated row space
-    img_cols = []
-    vec_cols = []
-    for vec, img in candidates:
-        col_i = {}
-        for j, p in enumerate(img):
-            for w, coeff in p.terms.items():
-                col_i[(j, w)] = coeff
-        img_cols.append(col_i)
-        col_v = {}
-        for k, p in enumerate(vec):
-            for w, coeff in p.terms.items():
-                col_v[(k, w)] = coeff
-        vec_cols.append(col_v)
+    img_cols = [_flatten(img) for _, img in candidates]
+    vec_cols = [_flatten(vec) for vec, _ in candidates]
     key_order = lambda key: (key[0], A.term_key(key[1]))
-    inj_ok = True
-    for sol in nullspace(img_cols, key_order):
-        combo = {}
-        for coeff, col in zip(sol, vec_cols):
-            if not coeff.is_zero:
-                add_scaled(combo, col, coeff)
-        if combo:
-            inj_ok = False
+    inj_ok = not any(combine(zip(vec_cols, sol)) for sol in nullspace(img_cols, key_order))
     rep.add("injectivity", inj_ok,
             "Phi is injective on the generated row space" if inj_ok
             else "kernel vector found", tag="Phi injective on B^N E")
@@ -547,19 +504,8 @@ def cotensor_compare(E: Projector, c: Corepresentation, delta: Coaction,
     image_space = RowSpace(key_order)
     for _, img in candidates:
         if all(p.degree() <= d for p in img):
-            row = {}
-            for j, p in enumerate(img):
-                for w, coeff in p.terms.items():
-                    row[(j, w)] = coeff
-            image_space.insert(row)
-    surj_ok = True
-    for vec in cot:
-        row = {}
-        for j, p in enumerate(vec):
-            for w, coeff in p.terms.items():
-                row[(j, w)] = coeff
-        if not image_space.contains(row):
-            surj_ok = False
+            image_space.insert(_flatten(img))
+    surj_ok = all(image_space.contains(_flatten(vec)) for vec in cot)
     rep.add("surjectivity", surj_ok,
             f"Phi hits the full truncated cotensor at degree {d} "
             f"(dimension {len(cot)})" if surj_ok else "cotensor vector missed",

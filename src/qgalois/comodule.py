@@ -6,7 +6,7 @@ coaction built from the inverse antipode.
 from __future__ import annotations
 
 from . import structure
-from .linalg import RowSpace, add_scaled, invert_scalar_matrix, nullspace
+from .linalg import RowSpace, add_scaled, combine, invert_scalar_matrix, nullspace
 from .ncalg import (EMPTY, NCPoly, Presentation, PresentationError, Word, extend_word,
                     format_word)
 from .report import Report
@@ -38,10 +38,8 @@ class Coaction:
     def apply(self, p: NCPoly) -> TensorElem:
         if p.alg is not self.A:
             raise PresentationError("element does not belong to the coacted algebra")
-        out = TensorElem.zero((self.A, self.H))
-        for w, c in p.terms.items():
-            out = out + self.apply_word(w) * c
-        return out
+        return TensorElem((self.A, self.H), combine((self.apply_word(w).terms, c)
+                                                    for w, c in p.terms.items()), normal=True)
 
     def __call__(self, p: NCPoly) -> TensorElem:
         return self.apply(p)
@@ -75,9 +73,8 @@ def verify_coaction(delta: Coaction) -> Report:
     structure._require_hopf(H)
     rep = Report()
     for r in A.rules:
-        img = delta.apply_word(r.lhs)
-        for w, c in r.rhs.items():
-            img = img - delta.apply_word(w) * c
+        img = TensorElem((A, H), combine((delta.apply_word(w).terms, c)
+                                         for w, c in r.relation().items()), normal=True)
         rep.add(f"relation {' '.join(r.lhs)}", img.is_zero,
                 "maps to 0" if img.is_zero else f"maps to {img}",
                 tag="delta extends to an algebra map")
@@ -182,11 +179,9 @@ def verify_corepresentation(c: Corepresentation) -> Report:
     bad_eps = []
     for i in range(c.n):
         for j in range(c.n):
-            lhs = structure.coproduct(c[i, j])
-            rhs = TensorElem.zero((H, H))
-            for k in range(c.n):
-                rhs = rhs + TensorElem.from_poly(c[i, k]).outer(TensorElem.from_poly(c[k, j]))
-            if lhs != rhs:
+            rhs = combine(({(u, v): cv for v, cv in c[k, j].terms.items()}, cu)
+                          for k in range(c.n) for u, cu in c[i, k].terms.items())
+            if structure.coproduct(c[i, j]).terms != rhs:
                 bad_delta.append((i, j))
             want = QRat(1) if i == j else QRat(0)
             if structure.counit(c[i, j]) != want:
@@ -220,16 +215,9 @@ def corep_equivalence(c: Corepresentation, c2: Corepresentation, Q) -> Report:
     if inv is None:
         return rep
     # compare Q c = c2 Q entrywise to avoid polynomial-side inversion
-    ok = True
-    for i in range(c.n):
-        for j in range(c.n):
-            lhs = c.H.zero()
-            rhs = c.H.zero()
-            for k in range(c.n):
-                lhs = lhs + c[k, j] * Qm[i][k]
-                rhs = rhs + c2[i, k] * Qm[k][j]
-            if lhs != rhs:
-                ok = False
+    ok = all(combine((c[k, j].terms, Qm[i][k]) for k in range(c.n)) ==
+             combine((c2[i, k].terms, Qm[k][j]) for k in range(c.n))
+             for i in range(c.n) for j in range(c.n))
     rep.add("conjugacy", ok, "Q c Q^-1 = c' entrywise" if ok else "conjugation fails",
             tag="Q c Q^-1 = c'")
     return rep
@@ -249,34 +237,22 @@ def cotensor_basis(delta: Coaction, c: Corepresentation, d: int) -> list[list[NC
         rhs = {(jj, w, hw): coeff for jj in range(c.n) for hw, coeff in c[j, jj].terms.items()}
         add_scaled(lhs, rhs, QRat(-1))
         columns.append(lhs)
-    key_order = lambda k: (k[0], A.term_key(k[1]), H.term_key(k[2]))
-    sols = nullspace(columns, key_order)
-    vectors = []
+    sols = nullspace(columns, lambda k: (k[0], A.term_key(k[1]), H.term_key(k[2])))
+    space = RowSpace(lambda k: (k[0], A.term_key(k[1])))
     for sol in sols:
-        vec = [A.zero() for _ in range(c.n)]
-        for (j, w), coeff in zip(variables, sol):
-            if not coeff.is_zero:
-                vec[j] = vec[j] + NCPoly(A, {w: coeff}, normal=True)
-        vectors.append(vec)
-    return _echelon_vectors(vectors, A, c.n)
-
-
-def _echelon_vectors(vectors, alg: Presentation, n: int):
-    key_order = lambda k: (k[0], alg.term_key(k[1]))
-    space = RowSpace(key_order)
-    for vec in vectors:
-        row = {}
-        for j, p in enumerate(vec):
-            for w, coeff in p.terms.items():
-                row[(j, w)] = coeff
-        space.insert(row)
+        space.insert({v: coeff for v, coeff in zip(variables, sol) if not coeff.is_zero})
     out = []
     for row in space.sorted_rows():
-        vec = [alg.zero() for _ in range(n)]
+        vec = [{} for _ in range(c.n)]
         for (j, w), coeff in row.items():
-            vec[j] = vec[j] + NCPoly(alg, {w: coeff}, normal=True)
-        out.append(vec)
+            vec[j][w] = coeff
+        out.append([NCPoly(A, terms, normal=True) for terms in vec])
     return out
+
+
+def _flatten(vec) -> dict:
+    """A vector of polynomials as one row {(j, word): coefficient}."""
+    return {(j, w): coeff for j, p in enumerate(vec) for w, coeff in p.terms.items()}
 
 
 def left_coaction(delta: Coaction, a: NCPoly) -> TensorElem:

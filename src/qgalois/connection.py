@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from . import structure
 from .comodule import Coaction, left_coaction
-from .linalg import RowSpace
+from .linalg import ONE, RowSpace, combine
 from .ncalg import NCPoly, Presentation, PresentationError, Word
 from .report import Report
 from .scalars import QRat
@@ -70,18 +70,16 @@ class CoalgebraSpan:
     def delta_components(self, x: NCPoly, side: int):
         """Write Delta(x) as sum_k s_k (x) h_k (side=0, s_k the span basis) or
         sum_k h_k (x) s_k (side=1); raises SpanClosureError if impossible."""
-        d = structure.coproduct(x)
-        out = [self.H.zero() for _ in self.basis]
-        grouped = d.grouped(1 - side)
-        for other_word, slice_poly in grouped.items():
+        out = [{} for _ in self.basis]
+        for other_word, slice_poly in structure.coproduct(x).grouped(1 - side).items():
             coords = self.coordinates(slice_poly)
             if coords is None:
                 raise SpanClosureError(
                     f"Delta leaves the span at slice {slice_poly}", element=slice_poly)
             for k, c in enumerate(coords):
                 if not c.is_zero:
-                    out[k] = out[k] + NCPoly(self.H, {other_word: c}, normal=True)
-        return out
+                    out[k][other_word] = c
+        return [NCPoly(self.H, terms, normal=True) for terms in out]
 
     def closure_report(self) -> Report:
         rep = Report()
@@ -120,11 +118,9 @@ class StrongConnection:
         space = RowSpace(domain.H.term_key)
         table_values = []
 
-        def combine(expr):
-            out = TensorElem.zero((A, A))
-            for k, c in expr.items():
-                out = out + table_values[k] * c
-            return out
+        def value_of(expr):
+            return TensorElem((A, A), combine((table_values[k].terms, c)
+                                              for k, c in expr.items()), normal=True)
 
         for i, (elem, val) in enumerate(pairs):
             if elem.alg is not domain.H:
@@ -133,7 +129,7 @@ class StrongConnection:
                 raise PresentationError("table value must live in A (x) A")
             # a line dependent on earlier ones must agree with their values
             v = dict(elem.terms)
-            if not space.insert(v) and combine(space.express(v)) != val:
+            if not space.insert(v) and value_of(space.express(v)) != val:
                 raise TableLineError(
                     f"table value at {elem} contradicts the earlier lines", i)
             table_values.append(val)
@@ -142,7 +138,7 @@ class StrongConnection:
             expr = space.express(dict(b.terms))
             if expr is None:
                 raise PresentationError(f"table does not cover span element {b}")
-            values.append(combine(expr))
+            values.append(value_of(expr))
         return cls(domain, A, coaction, "table", values, name=name)
 
     @classmethod
@@ -176,18 +172,13 @@ class StrongConnection:
         if h.alg is not self.domain.H:
             raise PresentationError("connection argument in the wrong coalgebra")
         if self.kind == "trivial":
-            out = TensorElem.zero((self.A, self.A))
-            for w, c in h.terms.items():
-                out = out + self._ell_trivial_word(w) * c
-            return out
-        coords = self.domain.coordinates(h)
-        if coords is None:
-            raise CoverageError(f"element outside the connection domain: {h}", element=h)
-        out = TensorElem.zero((self.A, self.A))
-        for c, val in zip(coords, self._values):
-            if not c.is_zero:
-                out = out + val * c
-        return out
+            pairs = ((self._ell_trivial_word(w).terms, c) for w, c in h.terms.items())
+        else:
+            coords = self.domain.coordinates(h)
+            if coords is None:
+                raise CoverageError(f"element outside the connection domain: {h}", element=h)
+            pairs = ((val.terms, c) for c, val in zip(coords, self._values))
+        return TensorElem((self.A, self.A), combine(pairs), normal=True)
 
     def __call__(self, h: NCPoly) -> TensorElem:
         return self.ell(h)
@@ -216,11 +207,9 @@ def check_strong_connection(ell: StrongConnection, delta: Coaction) -> Report:
         try:
             comp0 = ell.domain.delta_components(b, 0)
             lhs = lv.expand_leg(1, delta.apply_word, legs_hint=(A, delta.H))
-            rhs = TensorElem.zero((A, A, delta.H))
-            for s, h in zip(ell.domain.basis, comp0):
-                if not h.is_zero:
-                    rhs = rhs + ell.ell(s).outer(TensorElem.from_poly(h))
-            ok = lhs == rhs
+            rhs = combine((ell.ell(s).outer(TensorElem.from_poly(h)).terms, ONE)
+                          for s, h in zip(ell.domain.basis, comp0) if not h.is_zero)
+            ok = lhs.terms == rhs
             rep.add(f"right-colinearity {b}", ok,
                     "" if ok else "clauses differ",
                     tag="(id (x) delta) o l = (l (x) id) o Delta")
@@ -232,11 +221,9 @@ def check_strong_connection(ell: StrongConnection, delta: Coaction) -> Report:
             comp1 = ell.domain.delta_components(b, 1)
             lhs = lv.expand_leg(0, lambda w: left_coaction(
                 delta, NCPoly(A, {w: QRat(1)}, normal=True)), legs_hint=(delta.H, A))
-            rhs = TensorElem.zero((delta.H, A, A))
-            for s, h in zip(ell.domain.basis, comp1):
-                if not h.is_zero:
-                    rhs = rhs + TensorElem.from_poly(h).outer(ell.ell(s))
-            ok = lhs == rhs
+            rhs = combine((TensorElem.from_poly(h).outer(ell.ell(s)).terms, ONE)
+                          for s, h in zip(ell.domain.basis, comp1) if not h.is_zero)
+            ok = lhs.terms == rhs
             rep.add(f"left-colinearity {b}", ok,
                     "" if ok else "clauses differ",
                     tag="(((S^-1 (x) id) o flip o delta) (x) id) o l = (id (x) l) o Delta")

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import structure
 from .comodule import Coaction, counit_failures
-from .linalg import add_scaled
+from .linalg import add_scaled, combine
 from .ncalg import EMPTY, NCPoly, Presentation, PresentationError
 from .report import Report
 from .scalars import QRat, qrat
@@ -69,10 +69,8 @@ class TPoly:
 
     def evaluate(self, t0) -> TensorElem:
         t0 = qrat(t0)
-        out = TensorElem.zero(self.legs)
-        for k, t in self.coeffs.items():
-            out = out + t * (t0 ** k)
-        return out
+        return TensorElem(self.legs, combine((t.terms, t0 ** k) for k, t in self.coeffs.items()),
+                          normal=True)
 
     def map_coeffs(self, fn, legs) -> "TPoly":
         return TPoly(legs, {k: fn(t) for k, t in self.coeffs.items()})
@@ -290,9 +288,9 @@ class Character:
     def verify(self) -> Report:
         rep = Report()
         for r in self.alg.rules:
-            val = self.on_word(r.lhs)
-            for w, c in r.rhs.items():
-                val = val - c * self.on_word(w)
+            val = QRat(0)
+            for w, c in r.relation().items():
+                val = val + c * self.on_word(w)
             rep.add(f"relation {' '.join(r.lhs)}", val.is_zero,
                     "character kills the relation" if val.is_zero else f"value {val}",
                     tag="chi(relation) = 0")

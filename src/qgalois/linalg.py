@@ -5,7 +5,8 @@ expansions read off the expressions it records for its rows.  Pivots are
 chosen deterministically by a caller-supplied key order (term order of words
 in practice), so every reduction, rank and nullspace computation is
 reproducible bit for bit.  `add_scaled` is the one sparse accumulate, which
-the other layers sum their words and tensors through as well.
+the other layers sum their words and tensors through as well; `combine` is
+its form for a whole linear combination, one dict for all the terms.
 """
 
 from __future__ import annotations
@@ -36,6 +37,18 @@ def add_scaled(acc: Vec, terms: Vec, c: QRat = ONE) -> None:
                 del acc[k]
             else:
                 acc[k] = v
+
+
+def combine(pairs) -> Vec:
+    """sum c * terms over the (terms, c) pairs, accumulated in one dict.
+
+    A zero c is skipped; each terms is only read.
+    """
+    acc: Vec = {}
+    for terms, c in pairs:
+        if not c.is_zero:
+            add_scaled(acc, terms, c)
+    return acc
 
 
 def vec_scale(a: Vec, c: QRat) -> Vec:

@@ -45,6 +45,13 @@ class RewriteRule:
         self.lhs = tuple(lhs)
         self.rhs = {tuple(w): qrat(c) for w, c in rhs.items() if not qrat(c).is_zero}
 
+    def relation(self) -> dict:
+        """lhs - rhs as a word -> coefficient dict.  The lhs is a redex, so
+        this is not a normal form: extend a linear map over it word by word."""
+        rel = {self.lhs: ONE}
+        add_scaled(rel, self.rhs, -ONE)
+        return rel
+
     def __repr__(self):
         return f"RewriteRule({self.lhs} -> {self.rhs})"
 
@@ -127,8 +134,7 @@ class Presentation:
         for r in self.rules:
             # star the formal relation lhs - rhs, then reduce; nonzero rest
             # means the starred relation is not a consequence of the system
-            starred: dict = {self.star_word(r.lhs): ONE}
-            add_scaled(starred, {self.star_word(w): c for w, c in r.rhs.items()}, -ONE)
+            starred = {self.star_word(w): c for w, c in r.relation().items()}
             if self.normalize_terms(starred):
                 raise PresentationError(
                     f"relations are not *-closed at rule {' '.join(r.lhs)}")

@@ -314,18 +314,23 @@ class QRat:
             raise TypeError("exponent must be an integer")
         if k == 0:
             return QRat(1)
-        base = self
+        n, d = self.num, self.den
         if k < 0:
-            if not self.num:
+            if not n:
                 raise ZeroDivisionError("zero has no negative powers")
-            base = QRat._make(self.den, self.num)
-            k = -k
-        out = QRat(1)
-        while k:
+            n, d, k = (d, n, -k) if n[-1] > 0 else (_pneg(d), _pneg(n), -k)
+        # n/d is reduced, so n^k/d^k is too: gcd(n^k, d^k) = 1 in Z[q]
+        pn, pd = (1,), (1,)
+        while True:
             if k & 1:
-                out = out * base
-            base = base * base
+                pn, pd = _pmul(pn, n), _pmul(pd, d)
             k >>= 1
+            if not k:
+                break
+            n, d = _pmul(n, n), _pmul(d, d)
+        out = object.__new__(QRat)
+        object.__setattr__(out, "num", pn)
+        object.__setattr__(out, "den", pd)
         return out
 
     # -- structure ----------------------------------------------------------

@@ -6,6 +6,7 @@ every degree.
 
 from __future__ import annotations
 
+from .linalg import combine
 from .ncalg import EMPTY, NCPoly, Presentation, PresentationError, Word, extend_word, format_word
 from .report import Report
 from .scalars import QRat, qrat
@@ -90,18 +91,14 @@ def _anti_extend(table: dict, cache: dict, w: Word) -> NCPoly:
 def antipode(p: NCPoly) -> NCPoly:
     """S, extended as an anti-homomorphism."""
     h = _require_hopf(p.alg)
-    out = p.alg.zero()
-    for w, c in p.terms.items():
-        out = out + _anti_extend(h.antipode, h._s_cache, w) * c
-    return out
+    return NCPoly(p.alg, combine((_anti_extend(h.antipode, h._s_cache, w).terms, c)
+                                 for w, c in p.terms.items()), normal=True)
 
 
 def antipode_inv(p: NCPoly) -> NCPoly:
     h = _require_hopf(p.alg)
-    out = p.alg.zero()
-    for w, c in p.terms.items():
-        out = out + _anti_extend(h.antipode_inv, h._sinv_cache, w) * c
-    return out
+    return NCPoly(p.alg, combine((_anti_extend(h.antipode_inv, h._sinv_cache, w).terms, c)
+                                 for w, c in p.terms.items()), normal=True)
 
 
 def verify_hopf_axioms(alg: Presentation) -> Report:
@@ -119,18 +116,16 @@ def verify_hopf_axioms(alg: Presentation) -> Report:
     rep = Report()
     # structure maps must be well defined on the quotient
     for r in alg.rules:
-        rel_words = [(r.lhs, QRat(1))] + [(w, -c) for w, c in r.rhs.items()]
-        dt = TensorElem.zero((alg, alg))
+        rel = r.relation().items()
         ct = QRat(0)
-        st = alg.zero()
-        sit = alg.zero()
-        for w, c in rel_words:
-            dt = dt + coproduct_word(alg, w) * c
+        for w, c in rel:
             ct = ct + counit_word(alg, w) * c
-            st = st + _anti_extend(h.antipode, h._s_cache, w) * c
-            sit = sit + _anti_extend(h.antipode_inv, h._sinv_cache, w) * c
-        bad = [f"{name} maps it to {img}" for name, img in
-               (("Delta", dt), ("eps", ct), ("S", st), ("S^-1", sit)) if not img.is_zero]
+        dt = combine((coproduct_word(alg, w).terms, c) for w, c in rel)
+        st = combine((_anti_extend(h.antipode, h._s_cache, w).terms, c) for w, c in rel)
+        sit = combine((_anti_extend(h.antipode_inv, h._sinv_cache, w).terms, c) for w, c in rel)
+        images = (("Delta", TensorElem((alg, alg), dt, normal=True)), ("eps", ct),
+                  ("S", NCPoly(alg, st, normal=True)), ("S^-1", NCPoly(alg, sit, normal=True)))
+        bad = [f"{name} maps it to {img}" for name, img in images if not img.is_zero]
         rep.add(f"relation-compat {' '.join(r.lhs)}", not bad,
                 "; ".join(bad) or "structure maps kill the relation",
                 tag="Delta, eps, S, S^-1 factor through the quotient")
@@ -215,10 +210,8 @@ class Morphism:
     def apply(self, p: NCPoly) -> NCPoly:
         if p.alg is not self.source:
             raise PresentationError("element does not belong to the morphism source")
-        out = self.target.zero()
-        for w, c in p.terms.items():
-            out = out + self.apply_word(w) * c
-        return out
+        return NCPoly(self.target, combine((self.apply_word(w).terms, c)
+                                           for w, c in p.terms.items()), normal=True)
 
     def __call__(self, p: NCPoly) -> NCPoly:
         return self.apply(p)
@@ -245,9 +238,8 @@ class Morphism:
         """Relations map to zero; images are star-compatible."""
         rep = Report()
         for r in self.source.rules:
-            img = self.apply_word(r.lhs)
-            for w, c in r.rhs.items():
-                img = img - self.apply_word(w) * c
+            img = NCPoly(self.target, combine((self.apply_word(w).terms, c)
+                                              for w, c in r.relation().items()), normal=True)
             rep.add(f"relation {' '.join(r.lhs)}", img.is_zero,
                     "maps to 0" if img.is_zero else f"maps to {img}",
                     tag="f(relation) = 0")

@@ -14,6 +14,10 @@ is left, a strategy independent of the letter-by-letter fold of
 memo: the oracle for `ncalg.extend_word`, which starts from the longest
 cached prefix or suffix.
 
+`reference_linear` sums a linear extension term by term, with a new partial
+sum for each term: the oracle for the extensions summed in one dict through
+`linalg.combine`.
+
 `reference_coaction_membership` and `reference_coacted_membership` solve the
 join boundary memberships by elimination over every basis word up to the
 degree bound: the oracles for the counit projection of `qgalois.join`.
@@ -147,6 +151,15 @@ def reference_extend(w, unit, step, reverse: bool = False):
     out = unit
     for g in (reversed(w) if reverse else w):
         out = step(out, g)
+    return out
+
+
+def reference_linear(zero, terms: dict, word_map):
+    """sum c * word_map(w) over the items (w, c) of terms, as zero + f(w1) c1
+    + f(w2) c2 + ...: one new partial sum, and one scaled temporary, per term."""
+    out = zero
+    for w, c in terms.items():
+        out = out + word_map(w) * c
     return out
 
 

@@ -7,7 +7,7 @@ import pytest
 from qgalois import presets, structure
 from qgalois.cherngalois import (Functional, ProjectorError, _tau, align_blocks,
                                  check_sigma_diagram, connection_expansion,
-                                 cotensor_compare, mat_eq, mat_mul, projector,
+                                 cotensor_compare, mat_mul, projector,
                                  projector_similarity, pullback_projector,
                                  sigma, trace_rank, verify_pullback_theorem)
 from qgalois.comodule import contragredient, invariant_subspace
@@ -82,7 +82,7 @@ def test_podles_projector_entries(podles, suq2):
 
 def test_podles_projector_is_idempotent_and_invariant(podles):
     delta, _, _, E = podles
-    assert mat_eq(mat_mul(E.entries, E.entries), E.entries)
+    assert mat_mul(E.entries, E.entries) == E.entries
     for row in E.entries:
         for e in row:
             assert delta.apply(e) == TensorElem.from_poly(e).outer(
@@ -233,7 +233,7 @@ def test_pullback_projector_identity(podles, suq2):
     ident.verify()
     entries, rep = pullback_projector(ident, E, delta)
     assert rep.ok
-    assert mat_eq(entries, E.entries)
+    assert entries == E.entries
 
 
 def test_align_blocks_collapse(podles, collapse, regular_u1, u1):
@@ -254,7 +254,7 @@ def test_align_blocks_identity(podles, suq2):
     assert cert.report.ok
     assert cert.kept == [0, 1]
     assert cert.complement == []
-    assert mat_eq(cert.e_prime, E.entries)
+    assert cert.e_prime == E.entries
     assert cert.d_block == []
 
 

@@ -121,6 +121,19 @@ def test_character_verification(suq2):
     assert not bad.verify().ok
 
 
+def test_character_relation_witnesses(suq2):
+    # the all-ones character sends each relation to the value of lhs - rhs
+    ones = Character(suq2, {"a": QRat(1), "a*": QRat(1), "g": QRat(1), "g*": QRat(1)})
+    assert [(c.name, c.detail) for c in ones.verify().failures()] == [
+        ("relation g a", "value (q-1)/q"),
+        ("relation g* a", "value (q-1)/q"),
+        ("relation g a*", "value -q+1"),
+        ("relation g* a*", "value -q+1"),
+        ("relation a a*", "value q^2"),
+        ("relation a* a", "value 1"),
+    ]
+
+
 def test_parse_join_element(reg, suq2, path_alpha):
     text = "1 (x) a - t 1 (x) a + t a (x) a - q*t g* (x) g"
     parsed = parse_join_element(reg, text)

@@ -259,3 +259,58 @@ def test_laurent_fast_paths_match_the_general_route(pair, other):
                       (a - b, _padd(_pmul(a.num, b.den), _pneg(_pmul(b.num, a.den))))):
         assert (got.num, got.den) == general_reduce(want, _pmul(a.den, b.den))
     assert -a == QRat(_pneg(a.num), a.den)
+
+
+# ---------------------------------------------------------------------------
+# powers: with n / d in lowest terms, gcd(n^k, d^k) = 1 in Z[q], so n^k / d^k
+# is the canonical form with no gcd taken
+
+def repeated_power(a, k):
+    out = QRat(1)
+    for _ in range(abs(k)):
+        out = out * a
+    return QRat(1) / out if k < 0 else out
+
+
+@settings(max_examples=120, deadline=None)
+@given(qrats(), st.integers(min_value=-9, max_value=9))
+def test_power_matches_repeated_products_and_sympy(a, k):
+    x = sympy.Symbol("q")
+
+    def to_sympy(cs):
+        return sympy.Poly(list(reversed(cs)) or [0], x, domain="ZZ")
+
+    if a.is_zero and k < 0:
+        with pytest.raises(ZeroDivisionError):
+            a ** k
+        return
+    got = a ** k
+    want = repeated_power(a, k)
+    assert (got.num, got.den) == (want.num, want.den)
+    # the value of sympy's cancellation, in lowest terms, with its degrees
+    num, den = to_sympy(got.num), to_sympy(got.den)
+    p, s = sympy.fraction(sympy.cancel((to_sympy(a.num).as_expr() /
+                                        to_sympy(a.den).as_expr()) ** k))
+    assert sympy.expand(num.as_expr() * s - den.as_expr() * p) == 0
+    assert sympy.gcd(num, den) == sympy.Poly(1, x, domain="ZZ")
+    assert got.den[-1] > 0
+    if got.num:
+        assert sympy.degree(p, x) == len(got.num) - 1
+    assert sympy.degree(s, x) == len(got.den) - 1
+
+
+def test_power_takes_no_gcd(monkeypatch):
+    import qgalois.scalars as scalars
+
+    x = QRat((1, 1), (1, 2))  # (1 + q) / (1 + 2q), not Laurent
+    y = QRat((1, -1), (-3, 0, 0, 2))  # (1 - q) / (2q^3 - 3), inverted below
+    wants = [(x, 50, repeated_power(x, 50)), (x, -7, repeated_power(x, -7)),
+             (y, -7, repeated_power(y, -7))]
+
+    def no_gcd(a, b):
+        raise AssertionError("a power of a reduced value took a gcd")
+
+    monkeypatch.setattr(scalars, "_pgcd", no_gcd)
+    for base, k, want in wants:
+        got = base ** k
+        assert (got.num, got.den) == (want.num, want.den)

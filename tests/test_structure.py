@@ -139,6 +139,48 @@ def test_morphism_failure(suq2, u1):
     assert any("relation" in n for n in names)
 
 
+def test_morphism_relation_witnesses(suq2, u1):
+    # a, g -> u sends each relation to its image lhs - rhs, shown in full
+    bad = Morphism(suq2, u1, {"a": u1.gen("u"), "g": u1.gen("u"),
+                              "a*": u1.gen("u*"), "g*": u1.gen("u*")})
+    assert [(c.name, c.detail) for c in bad.verify().failures()] == [
+        ("relation g a", "maps to (q-1)/q u u"),
+        ("relation g* a", "maps to (q-1)/q"),
+        ("relation g a*", "maps to -(q-1)"),
+        ("relation g* a*", "maps to -(q-1) u* u*"),
+        ("relation a a*", "maps to q^2"),
+        ("relation a* a", "maps to 1"),
+    ]
+
+
+def test_relation_compat_witnesses():
+    # Delta(g) = g (x) a + a (x) g, eps(a) = 2 and S(g) = g break several
+    # relations; each FAIL lists the image of lhs - rhs under every failing map
+    s = parse_workspace(presets.SUQ2_SOURCE).algebras["suq2"]
+    _reattach(s, delta=dict(s.hopf.delta, g=TensorElem(
+                  (s, s), {(("g",), ("a",)): QRat(1), (("a",), ("g",)): QRat(1)})),
+              counit=dict(s.hopf.counit, a=QRat(2)),
+              antipode=dict(s.hopf.antipode, g=s.gen("g")))
+    failed = [(c.name, c.detail) for c in verify_hopf_axioms(s).failures()
+              if c.name.startswith("relation-compat")]
+    assert failed == [
+        ("relation-compat g a",
+         "Delta maps it to -(q^2-1)/q a g* (x) g g - (q^2-1)/q g g* (x) a g"),
+        ("relation-compat g* g",
+         "Delta maps it to -(q^2-1)/q a g* (x) a* g + (q^2-1) g g* (x) g g*"),
+        ("relation-compat g a*",
+         "Delta maps it to -(q^3-q) g g* (x) a* g - (q^3-q) a* g (x) g g*"),
+        ("relation-compat a a*",
+         "Delta maps it to -q^2 1 (x) g g* + q^2 a a (x) g g* + q^3 a g* (x) a* g"
+         " + q^2 g g* (x) g g* - q^3 a* g* (x) a* g; eps maps it to 1;"
+         " S maps it to -(q^2+q) g g*"),
+        ("relation-compat a* a",
+         "Delta maps it to -1 (x) g g* + a a (x) g g* + q a g* (x) a* g"
+         " + g g* (x) g g* - q a* g* (x) a* g; eps maps it to 1;"
+         " S maps it to -(q+1)/q g g*"),
+    ]
+
+
 def test_identity_morphism(suq2):
     ident = Morphism.identity(suq2)
     assert ident.verify().ok
