@@ -1,8 +1,9 @@
 """Associated-bundle idempotents: the retraction sigma built from a strong
 connection and a unital functional, the projector with entries
-sigma(r_mu(c_ij) a_nu), pullback of projectors along equivariant maps, block
-alignment f(E) = [[e',0],[d,0]] with its conjugation certificate, and the
-end-to-end verification of the pullback mechanism.
+sigma(r_mu(c_ij) a_nu), and the end-to-end verification of the pullback
+mechanism.  E and f(E) share one certificate, E = X Y with Y X = I_N on
+checked shapes; the block identities of F = S f(E) S^-1 = [[e',0],[d,0]],
+S scalar, follow from F^2 = F and are stated, not multiplied out.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from . import structure
 from .comodule import (Coaction, Corepresentation, _flatten, cotensor_basis,
                        invariant_subspace)
 from .connection import StrongConnection, check_equivariance, pullback_connection
-from .linalg import (ONE, RowSpace, combine, independent_subset, invert_scalar_matrix,
-                     nullspace)
+from .linalg import (ONE, RowSpace, combine, identity, independent_subset,
+                     invert_scalar_matrix, kron, nullspace)
 from .ncalg import EMPTY, NCPoly, Presentation, PresentationError
 from .report import Report
 from .scalars import QRat, qrat
@@ -139,18 +140,21 @@ def connection_expansion(ell: StrongConnection, c: Corepresentation):
 # -- matrices of polynomials -------------------------------------------------
 
 def mat_mul(X, Y):
-    n, m, p = len(X), len(Y), len(Y[0]) if Y else 0
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(p):
-            acc = None
-            for k in range(m):
-                term = X[i][k] * Y[k][j]
-                acc = term if acc is None else acc + term
-            row.append(acc)
-        out.append(row)
-    return out
+    """X Y for polynomial matrices with a nonempty inner dimension; each
+    entry sums its products in one dict."""
+    return [[NCPoly(row[0].alg, combine(((x * Y[k][j]).terms, ONE)
+                                        for k, x in enumerate(row)), normal=True)
+             for j in range(len(Y[0]))] for row in X]
+
+
+def conjugate(alg: Presentation, S, M, S_inv):
+    """S M S_inv for scalar matrices S, S_inv and a polynomial matrix M: entry
+    (i, j) is one combine of the M_kl over the nonzero S_ik S_inv_lj, with no
+    polynomial product."""
+    rows = [[(k, s) for k, s in enumerate(row) if not s.is_zero] for row in S]
+    cols = [[(l, t) for l, t in enumerate(col) if not t.is_zero] for col in zip(*S_inv)]
+    return [[NCPoly(alg, combine((M[k][l].terms, s * t) for k, s in row for l, t in col),
+                    normal=True) for col in cols] for row in rows]
 
 
 def _mismatches(X, Y):
@@ -159,34 +163,47 @@ def _mismatches(X, Y):
             for c, (a, b) in enumerate(zip(rx, ry)) if a != b)
 
 
-def _certify_factorization(rep: Report, E, X, Y, alg: Presentation, fname: str = ""):
+def _shape(X) -> str:
+    """'rows x cols' of a matrix; cols is 'ragged' when the rows differ in length."""
+    widths = {len(row) for row in X} or {0}
+    return f"{len(X)}x{widths.pop() if len(widths) == 1 else 'ragged'}"
+
+
+def _certify_factorization(rep: Report, E, X, Y, N: int, fname: str = ""):
     """E^2 = E from E = X Y and Y X = I_N, as then E^2 = X (Y X) Y = X Y = E in
-    any associative algebra; with a map name the matrices read f(E), ..."""
+    any associative algebra; E must be M x M, X M x N and Y N x M with
+    N = dim c >= 1 and M >= 1 before any product is formed.  With a map name
+    the matrices read f(E), ..."""
     e, x, y = (f"{fname}({s})" if fname else s for s in "EXY")
-    N, XY = len(Y), mat_mul(X, Y)
+    M, tag = len(E), f"{e}^2 = {e}"
+    shapes = [_shape(E), _shape(X), _shape(Y)]
+    if min(M, N) < 1 or shapes != [f"{M}x{M}", f"{M}x{N}", f"{N}x{M}"]:
+        rep.add("idempotent", False,
+                f"{e} is {shapes[0]}, {x} is {shapes[1]}, {y} is {shapes[2]}; need "
+                f"MxM, MxN, NxM with M >= 1 and N = dim c = {N}", tag=tag)
+        return
+    one, zero = E[0][0].alg.one(), E[0][0].alg.zero()
+    identity_n = [[one if k == l else zero for l in range(N)] for k in range(N)]
     bad = next((f"{e} != {x} {y} at ({r}, {c}): difference {(a - b).brief()}"
-                for r, c, a, b in _mismatches(E, XY)), None) or \
+                for r, c, a, b in _mismatches(E, mat_mul(X, Y))), None) or \
         next((f"{y} {x} != I_{N} at ({k}, {l}): entry {a.brief()}"
-              for k, l, a, _ in _mismatches(mat_mul(Y, X), poly_identity(alg, N))), None)
+              for k, l, a, _ in _mismatches(mat_mul(Y, X), identity_n)), None)
     rep.add("idempotent", bad is None,
             bad or f"{e} = {x} {y} with {y} {x} = I_{N}; so {e}^2 = {x} ({y} {x}) {y} = {e}",
-            tag=f"{e}^2 = {e}")
+            tag=tag)
 
 
-def poly_identity(alg: Presentation, n: int):
-    return [[alg.one() if i == j else alg.zero() for j in range(n)] for i in range(n)]
-
-
-def scalar_block_matrix(alg: Presentation, M, n: int):
-    """(M (x) I_n) as a polynomial matrix over alg, for scalar M."""
-    m = len(M)
-    out = [[alg.zero() for _ in range(m * n)] for _ in range(m * n)]
-    for a in range(m):
-        for b in range(m):
-            if not qrat(M[a][b]).is_zero:
-                for i in range(n):
-                    out[a * n + i][b * n + i] = alg.one() * qrat(M[a][b])
-    return out
+def _certify_invariance(rep: Report, entries, delta: Coaction, detail: str, tag: str):
+    """delta(e) = e (x) 1 for every entry; a FAIL names the first entry that
+    moves, and an empty matrix FAILs rather than pass vacuously."""
+    unit = TensorElem.unit((delta.H,))
+    bad = next(((r, c, e) for r, row in enumerate(entries) for c, e in enumerate(row)
+                if delta.apply(e) != TensorElem.from_poly(e).outer(unit)), None)
+    if bad is not None:
+        detail = f"not invariant at ({bad[0]}, {bad[1]}): entry {bad[2].brief()}"
+    elif not any(entries):
+        detail = "no entries to check"
+    rep.add("base-invariance", bad is None and any(entries), detail, tag=tag)
 
 
 class Projector:
@@ -237,16 +254,9 @@ def projector(ell: StrongConnection, c: Corepresentation, phi: Functional,
     Y = [[sigma(phi, ell, delta, a_mu[nu], c[k, j]) for (nu, j) in labels]
          for k in range(n)]
     rep = Report()
-    _certify_factorization(rep, entries, X, Y, delta.A)
-    inv_ok = True
-    for row in entries:
-        for e in row:
-            if delta.apply(e) != TensorElem.from_poly(e).outer(
-                    TensorElem.unit((delta.H,))):
-                inv_ok = False
-    rep.add("base-invariance", inv_ok,
-            "all entries satisfy delta(b) = b (x) 1" if inv_ok else "entry not invariant",
-            tag="delta(E_ij) = E_ij (x) 1")
+    _certify_factorization(rep, entries, X, Y, n)
+    _certify_invariance(rep, entries, delta, "all entries satisfy delta(b) = b (x) 1",
+                        "delta(E_ij) = E_ij (x) 1")
     if not rep.ok:
         raise ProjectorError("projector failed certification "
                              "(invalid connection or corepresentation)", rep)
@@ -264,89 +274,71 @@ def pullback_projector(f: Morphism, E: Projector, delta2: Coaction):
     entries, X, Y = ([[f.apply(e) for e in row] for row in M]
                      for M in (E.entries, E.X, E.Y))
     rep = Report()
-    _certify_factorization(rep, entries, X, Y, f.target, fname="f")
-    inv_ok = all(delta2.apply(e) == TensorElem.from_poly(e).outer(
-        TensorElem.unit((delta2.H,))) for row in entries for e in row)
-    rep.add("base-invariance", inv_ok,
-            "entries fixed by the target coaction" if inv_ok else "entry not invariant",
-            tag="delta'(f(E)_ij) = f(E)_ij (x) 1")
+    _certify_factorization(rep, entries, X, Y, E.corep.n, fname="f")
+    _certify_invariance(rep, entries, delta2, "entries fixed by the target coaction",
+                        "delta'(f(E)_ij) = f(E)_ij (x) 1")
     return entries, rep
 
 
 class PullbackCertificate:
     """The block decomposition of f(E) after aligning the extracted basis with
-    the image of f: index split, blocks e' and d, and the conjugator."""
+    the image of f: the index split and the blocks e' and d."""
 
-    def __init__(self, kept, complement, basis_change, aligned, e_prime, d_block,
-                 report: Report):
+    def __init__(self, kept, complement, e_prime, d_block, report: Report):
         self.kept = kept
         self.complement = complement
-        self.basis_change = basis_change
-        self.aligned = aligned
         self.e_prime = e_prime
         self.d_block = d_block
         self.report = report
 
 
 def align_blocks(f: Morphism, E: Projector, delta2: Coaction) -> PullbackCertificate:
-    """Choose the image basis {f(a_mu) : mu in I}, change basis so complement
-    images vanish, reorder I first, and certify the block identities."""
+    """Certify f(E) through `pullback_projector`, choose the image basis
+    {f(a_mu) : mu in I}, and conjugate f(E) by the scalar S = P (U^-1 (x) I_n):
+    U changes basis so that complement images vanish, P puts I first.  Then
+    F = S f(E) S^-1 is idempotent with f(E), and once F = [[e',0],[d,0]] the
+    blocks of F^2 = [[e'^2,0],[d e',0]] = F give e'^2 = e', d e' = d and
+    F = T diag(e',0) T^-1 for T = [[1,0],[d,1]]."""
     target = f.target
-    n = E.corep.n
-    m = len(E.a_mu)
-    images = [f.apply(a) for a in E.a_mu]
-    kept, expansions = independent_subset([dict(p.terms) for p in images],
+    fE, rep = pullback_projector(f, E, delta2)
+    n, m = E.corep.n, len(E.a_mu)
+    kept, expansions = independent_subset([dict(f.apply(a).terms) for a in E.a_mu],
                                           target.term_key)
     complement = [j for j in range(m) if j not in kept]
-    U = [[QRat(1) if i == j else QRat(0) for j in range(m)] for i in range(m)]
+    U = identity(m)
     for j, coeffs in expansions.items():
         for idx, coeff in enumerate(coeffs):
             U[kept[idx]][j] = -coeff
-    U_inv = invert_scalar_matrix(U)
-    A = E.delta.A
-    Ub = scalar_block_matrix(A, U, n)
-    Ub_inv = scalar_block_matrix(A, U_inv, n)
-    aligned_source = mat_mul(Ub_inv, mat_mul(E.entries, Ub))
-    fE = [[f.apply(e) for e in row] for row in aligned_source]
-    # reorder: kept block first, complement after
-    label_order = [mu * n + i for mu in kept for i in range(n)] + \
-                  [mu * n + i for mu in complement for i in range(n)]
-    F = [[fE[r][c] for c in label_order] for r in label_order]
-    k = len(kept) * n
-    N = m * n
-    rep = Report()
-    zero_ok = all(F[r][c].is_zero for r in range(N) for c in range(k, N))
-    rep.add("block-form", zero_ok,
-            "columns over the complement vanish" if zero_ok else "nonzero complement column",
+    order = [mu * n + i for mu in kept + complement for i in range(n)]
+    S = kron(invert_scalar_matrix(U), identity(n))
+    S_inv = kron(U, identity(n))
+    F = conjugate(target, [S[r] for r in order], fE,
+                  [[row[c] for c in order] for row in S_inv])
+    k, N = len(kept) * n, m * n
+    bad = next(((r, c) for r in range(N) for c in range(k, N) if not F[r][c].is_zero), None)
+    rep.add("block-form", bad is None, "columns over the complement vanish" if bad is None
+            else f"nonzero complement column at {bad}: entry {F[bad[0]][bad[1]].brief()}",
             tag="f(E) = [[e',0],[d,0]]")
-    e_prime = [row[:k] for row in F[:k]]
-    d_block = [row[:k] for row in F[k:]]
-    idem_ok = mat_mul(e_prime, e_prime) == e_prime
-    rep.add("block-idempotent", idem_ok,
-            "e' is idempotent" if idem_ok else "e' fails idempotence", tag="e'^2 = e'")
-    absorb_ok = mat_mul(d_block, e_prime) == d_block
-    rep.add("block-absorption", absorb_ok,
-            "d e' = d" if absorb_ok else "d e' != d", tag="d e' = d")
-    # conjugation by T = [[1,0],[d,1]]
-    T = poly_identity(target, N)
-    T_inv = poly_identity(target, N)
-    for r in range(N - k):
-        for c in range(k):
-            T[k + r][c] = d_block[r][c]
-            T_inv[k + r][c] = -d_block[r][c]
-    diag = [[e_prime[r][c] if r < k and c < k else target.zero()
-             for c in range(N)] for r in range(N)]
-    conj_ok = mat_mul(T, mat_mul(diag, T_inv)) == F
-    rep.add("conjugation", conj_ok,
-            "f(E) = T diag(e',0) T^-1" if conj_ok else "conjugation identity fails",
-            tag="f(E) = [[1,0],[d,1]] diag(e',0) [[1,0],[d,1]]^-1")
-    return PullbackCertificate(kept, complement, U, F, e_prime, d_block, rep)
+    failed = [c.name for c in rep.checks if c.name in ("idempotent", "block-form")
+              and not c.passed]
+    for name, identity_holds, tag in (
+            ("block-idempotent", "e'^2 = e', the upper-left block of F^2 = F", "e'^2 = e'"),
+            ("block-absorption", "d e' = d, the lower-left block of F^2 = F", "d e' = d"),
+            ("conjugation", "F = T diag(e',0) T^-1 = [[e',0],[d e',0]], as d e' = d",
+             "f(E) = [[1,0],[d,1]] diag(e',0) [[1,0],[d,1]]^-1")):
+        rep.add(name, not failed,
+                f"{identity_holds}; rests on idempotent and block-form "
+                "(F = S f(E) S^-1, S scalar)" if not failed
+                else f"not derived: {' and '.join(failed)} failed", tag=tag)
+    return PullbackCertificate(kept, complement, [row[:k] for row in F[:k]],
+                               [row[:k] for row in F[k:]], rep)
 
 
 def verify_pullback_theorem(f: Morphism, ell: StrongConnection, c: Corepresentation,
                             phi2: Functional, delta: Coaction, delta2: Coaction):
-    """End-to-end mechanism: sigma-diagram, block form, d e' = d, conjugation,
-    and agreement of the aligned block with the independently built pullback
+    """End-to-end mechanism: sigma-diagram, f(E) idempotent and invariant by
+    its factors, its block form with the identities derived from it, and
+    agreement of the aligned block with the independently built pullback
     projector.  Returns (Report, artifacts dict)."""
     rep = Report()
     if not f.verified:
@@ -385,9 +377,8 @@ def verify_pullback_theorem(f: Morphism, ell: StrongConnection, c: Corepresentat
         if W_inv is None:
             recon_ok = False
         else:
-            Wb = scalar_block_matrix(f.target, Wt, c.n)
-            Wb_inv = scalar_block_matrix(f.target, W_inv, c.n)
-            conj = mat_mul(Wb, mat_mul(cert.e_prime, Wb_inv))
+            conj = conjugate(f.target, kron(Wt, identity(c.n)), cert.e_prime,
+                             kron(W_inv, identity(c.n)))
             recon_ok = conj == E2.entries
             if recon_ok:
                 detail = ("e' = E' entrywise" if cert.e_prime == E2.entries
@@ -425,10 +416,8 @@ def projector_similarity(E: Projector, Q) -> Report:
             else "extracted bases differ", tag="span of first legs is corep-invariant")
     if not same_basis:
         return rep
-    A = E.delta.A
-    Qb = scalar_block_matrix(A, _id_tensor(Qm, len(E.a_mu)), 1)
-    Qb_inv = scalar_block_matrix(A, _id_tensor(Q_inv, len(E.a_mu)), 1)
-    ok = E2.entries == mat_mul(Qb, mat_mul(E.entries, Qb_inv))
+    I_m = identity(len(E.a_mu))
+    ok = E2.entries == conjugate(E.delta.A, kron(I_m, Qm), E.entries, kron(I_m, Q_inv))
     rep.add("projector-similarity", ok,
             "E_{c'} = (1 (x) Q) E (1 (x) Q)^-1" if ok else "conjugation fails",
             tag="E_{QcQ^-1} = (1 (x) Q) E (1 (x) Q)^-1")
@@ -437,17 +426,6 @@ def projector_similarity(E: Projector, Q) -> Report:
             "traces agree as invariant elements" if tr_ok else "traces differ",
             tag="tr E_{c'} = tr E")
     return rep
-
-
-def _id_tensor(M, m: int):
-    """I_m (x) M for a scalar matrix M."""
-    n = len(M)
-    out = [[QRat(0) for _ in range(m * n)] for _ in range(m * n)]
-    for blk in range(m):
-        for i in range(n):
-            for j in range(n):
-                out[blk * n + i][blk * n + j] = M[i][j]
-    return out
 
 
 def cotensor_compare(E: Projector, c: Corepresentation, delta: Coaction,

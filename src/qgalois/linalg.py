@@ -16,6 +16,7 @@ from .scalars import QRat
 Vec = dict  # key -> QRat, zero coefficients never stored
 
 ONE = QRat(1)
+ZERO = QRat(0)
 
 
 def add_scaled(acc: Vec, terms: Vec, c: QRat = ONE) -> None:
@@ -182,6 +183,17 @@ def nullspace(columns: list[Vec], key_order) -> list[list[QRat]]:
             x[k] = -c
         sols.append(x)
     return sols
+
+
+def identity(n: int) -> list[list[QRat]]:
+    """The n x n identity over Q(q), a new list per row."""
+    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+
+
+def kron(A, B) -> list[list[QRat]]:
+    """The Kronecker product A (x) B of scalar matrices: entry
+    (a rows(B) + i, b cols(B) + j) is A_ab B_ij."""
+    return [[a * b for a in ra for b in rb] for ra in A for rb in B]
 
 
 def invert_scalar_matrix(mat: list[list[QRat]]) -> list[list[QRat]] | None:

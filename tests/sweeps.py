@@ -29,6 +29,11 @@ certifies the diagram on the connection domain.
 `sweep_idempotent` squares a matrix entry by entry, M^3 products, in its own
 loops: the oracle for the factorization certificate E = X Y, Y X = I of
 `cherngalois.projector` and `cherngalois.pullback_projector`.
+
+`sweep_blocks` multiplies out the block identities of F = [[e',0],[d,0]] in
+its own loops: the oracle for the `block-idempotent`, `block-absorption` and
+`conjugation` lines of `cherngalois.align_blocks`, which derive them from
+f(E)^2 = f(E) and the block form.
 """
 
 from qgalois import structure
@@ -112,6 +117,43 @@ def sweep_idempotent(entries) -> bool:
             if acc != entries[i][j]:
                 return False
     return True
+
+
+def _product(X, Y):
+    """X Y for polynomial matrices, one new partial sum per product."""
+    out = []
+    for row in X:
+        out.append([])
+        for j in range(len(Y[0])):
+            acc = row[0] * Y[0][j]
+            for k in range(1, len(Y)):
+                acc = acc + row[k] * Y[k][j]
+            out[-1].append(acc)
+    return out
+
+
+def sweep_blocks(e_prime, d) -> dict:
+    """e'^2 = e', d e' = d and T diag(e',0) T^-1 = F for F = [[e',0],[d,0]]
+    and T = [[1,0],[d,1]], by brute-force products; named as the checks."""
+    k = len(e_prime)
+    N = k + len(d)
+    alg = e_prime[0][0].alg
+    one, zero = alg.one(), alg.zero()
+
+    def blocks(top_left, bottom_left, bottom_right_one):
+        return [[top_left[r][c] if r < k and c < k
+                 else bottom_left[r - k][c] if c < k
+                 else one if bottom_right_one and r == c else zero
+                 for c in range(N)] for r in range(N)]
+
+    unit = [[one if r == c else zero for c in range(k)] for r in range(k)]
+    F = blocks(e_prime, d, False)
+    T = blocks(unit, d, True)
+    T_inv = blocks(unit, [[-x for x in row] for row in d], True)
+    diag = blocks(e_prime, [[zero] * k for _ in d], False)
+    return {"block-idempotent": _product(e_prime, e_prime) == e_prime,
+            "block-absorption": _product(d, e_prime) == d,
+            "conjugation": _product(_product(T, diag), T_inv) == F}
 
 
 def certified(rep, names) -> dict:

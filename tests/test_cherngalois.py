@@ -6,18 +6,71 @@ import pytest
 
 from qgalois import presets, structure
 from qgalois.cherngalois import (Functional, ProjectorError, _tau, align_blocks,
-                                 check_sigma_diagram, connection_expansion,
+                                 check_sigma_diagram, conjugate, connection_expansion,
                                  cotensor_compare, mat_mul, projector,
                                  projector_similarity, pullback_projector,
                                  sigma, trace_rank, verify_pullback_theorem)
-from qgalois.comodule import contragredient, invariant_subspace
+from qgalois.comodule import contragredient, invariant_subspace, regular_coaction
 from qgalois.connection import (CoalgebraSpan, CoverageError, StrongConnection,
                                 pullback_connection)
+from qgalois.linalg import identity, invert_scalar_matrix, kron
+from qgalois.presfile import parse_workspace
 from qgalois.scalars import QRat, q_power
 from qgalois.structure import Morphism
 from qgalois.tensors import TensorElem
 
-from sweeps import certified, sweep_idempotent, sweep_sigma_diagram
+from sweeps import certified, sweep_blocks, sweep_idempotent, sweep_sigma_diagram
+
+# the circle acting diagonally on the torus C[v, v*, y, y*]; `glue` sends both
+# circles to one, so f(y*) = f(v*) and the pullback needs a change of basis
+TORUS_SOURCE = presets.U1_SOURCE + """
+algebra t2
+generators v y y* v*
+star v v*
+star y y*
+order v < y < y* < v*
+reduction_order v < v* < y < y*
+rel v v* = 1
+rel v* v = 1
+rel y y* = 1
+rel y* y = 1
+rel y v = v y
+rel y* v = v y*
+rel y v* = v* y
+rel y* v* = v* y*
+
+coaction diagonal : t2 -> t2 (x) u1
+delta v = v (x) u
+delta y = y (x) u
+delta y* = y* (x) u*
+delta v* = v* (x) u*
+
+morphism glue : t2 -> u1
+f v = u
+f y = u
+f y* = u*
+f v* = u*
+
+corep twice dim 2 over u1
+row u | 0
+row 0 | u
+
+connection mean on diagonal
+L 1 = 1 (x) 1
+L u = 1/2 v* (x) v + 1/2 y* (x) y
+"""
+
+BLOCK_LINES = ("block-idempotent", "block-absorption", "conjugation")
+
+
+@pytest.fixture(scope="module")
+def torus():
+    """(f, connection, corepresentation, coaction, target coaction)."""
+    ws = parse_workspace(TORUS_SOURCE, filename="<torus>")
+    f = ws.morphisms["glue"]
+    assert f.verify().ok
+    return (f, ws.connections["mean"], ws.coreps["twice"], ws.coactions["diagonal"],
+            regular_coaction(ws.algebras["u1"]))
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +192,50 @@ def test_invalid_connection_is_a_hard_failure(fibration, suq2, u1):
         "CHECK idempotent FAIL Y X != I_1 at (0, 0): entry 1 - g g*"
 
 
+def test_empty_expansion_fails_at_idempotent_with_shapes(fibration, suq2, u1):
+    # with l(u) = 0 the expansion has no first legs: E and X have no rows and
+    # Y is 1x0, so no product is formed and idempotent names the shapes
+    span = CoalgebraSpan(u1, [u1.one(), u1.gen("u")])
+    pairs = [(u1.one(), TensorElem.unit((suq2, suq2))),
+             (u1.gen("u"), TensorElem((suq2, suq2), {}))]
+    empty = StrongConnection.from_table(span, fibration, pairs)
+    with pytest.raises(ProjectorError) as exc:
+        projector(empty, presets.u1_corep(1), Functional.constant_term(suq2), fibration)
+    assert exc.value.report.lines() == [
+        "CHECK idempotent FAIL E is 0x0, X is 0x0, Y is 1x0; "
+        "need MxM, MxN, NxM with M >= 1 and N = dim c = 1",
+        "CHECK base-invariance FAIL no entries to check"]
+
+
+def test_mat_mul_matches_products_summed_by_hand(regular_suq2, fundamental, suq2):
+    E = projector(presets.trivial_connection_suq2(), fundamental,
+                  Functional.constant_term(suq2), regular_suq2)
+    for X, Y in ((E.X, E.Y), (E.Y, E.X)):
+        expected = [[sum((row[k] * Y[k][j] for k in range(len(Y))), suq2.zero())
+                     for j in range(len(Y[0]))] for row in X]
+        assert mat_mul(X, Y) == expected
+
+
+def test_conjugate_matches_triple_product(regular_suq2, fundamental, suq2, intertwiner_q):
+    # the intertwiner has Q^-1 = -Q/q, so conjugating by it or by its inverse
+    # agree; the shear P = [[1, q], [0, 1]] tells the two sides apart
+    E = projector(presets.trivial_connection_suq2(), fundamental,
+                  Functional.constant_term(suq2), regular_suq2)
+    M = E.entries
+    shear = [[QRat(1), q_power(1)], [QRat(0), QRat(1)]]
+    for P in (intertwiner_q, shear):
+        P_inv = invert_scalar_matrix(P)
+        assert P_inv != P
+        for S, S_inv in ((kron(identity(4), P), kron(identity(4), P_inv)),
+                         (kron(P, identity(4)), kron(P_inv, identity(4)))):
+            expected = [[sum((M[k][l] * (S[i][k] * S_inv[l][j])
+                              for k in range(8) for l in range(8)), suq2.zero())
+                         for j in range(8)] for i in range(8)]
+            assert conjugate(suq2, S, M, S_inv) == expected
+    S, S_inv = kron(identity(4), shear), kron(identity(4), invert_scalar_matrix(shear))
+    assert conjugate(suq2, S_inv, M, S) != conjugate(suq2, S, M, S_inv)
+
+
 def _bundle(kind):
     """(coaction, projector) of podles-line `kind` for an integer winding,
     else of the trivial base with the corepresentation named `kind`."""
@@ -208,6 +305,82 @@ def test_factors_with_y_x_not_the_identity_fail_with_witness(podles):
     _, rep = _identity_pullback(doubled)
     assert [(c.name, c.detail) for c in rep.failures()] == \
         [("idempotent", "f(Y) f(X) != I_1 at (0, 0): entry 2")]
+
+
+def test_non_invariant_entry_fails_with_witness(podles, suq2):
+    _, _, _, E = podles
+    entries = [list(row) for row in E.entries]
+    entries[0][1] = entries[0][1] + suq2.gen("a")
+    _, rep = _identity_pullback(_planted(E, entries=entries))
+    assert rep.checks[1].line() == \
+        "CHECK base-invariance FAIL not invariant at (0, 1): entry a + a g*"
+
+
+def test_doubled_factor_fails_idempotent_and_every_derived_line(podles, suq2):
+    _, _, _, E = podles
+    doubled = _planted(E, entries=[[e * 2 for e in row] for row in E.entries],
+                       X=[[x * 2 for x in row] for row in E.X])
+    ident = Morphism.identity(suq2)
+    ident.verify()
+    cert = align_blocks(ident, doubled, E.delta)
+    assert [(c.name, c.detail) for c in cert.report.failures()] == \
+        [("idempotent", "f(Y) f(X) != I_1 at (0, 0): entry 2")] + \
+        [(name, "not derived: idempotent failed") for name in BLOCK_LINES]
+
+
+def test_complement_column_fails_block_form_with_witness(podles, collapse, regular_u1):
+    # a_mu = [a*, a*] makes the complement index expand over the kept one with
+    # coefficient 1, so F = U^-1 f(E) U keeps -1 in the complement column
+    _, _, _, E = podles
+    cert = align_blocks(collapse, _planted(E, a_mu=[E.a_mu[0]] * 2), regular_u1)
+    assert [(c.name, c.detail) for c in cert.report.failures()] == \
+        [("block-form", "nonzero complement column at (0, 1): entry -1")] + \
+        [(name, "not derived: block-form failed") for name in BLOCK_LINES]
+
+
+def _sign_flip(suq2):
+    f = Morphism(suq2, suq2, {"a": suq2.gen("a"), "a*": suq2.gen("a*"),
+                              "g": -suq2.gen("g"), "g*": -suq2.gen("g*")})
+    assert f.verify().ok
+    return f
+
+
+@pytest.mark.parametrize("case", [1, -1, 2, -2, 3, -3, 4, -4, "identity", "sign", "torus"])
+def test_derived_block_lines_agree_with_sweep(case, collapse, regular_u1, suq2, torus):
+    if isinstance(case, int):
+        _, E = _bundle(case)
+        cert = align_blocks(collapse, E, regular_u1)
+    elif case == "torus":
+        f, ell, c, delta, delta2 = torus
+        E = projector(ell, c, Functional.constant_term(delta.A), delta)
+        cert = align_blocks(f, E, delta2)
+    else:
+        delta, E = _bundle("u" if case == "identity" else 2)
+        f = _sign_flip(suq2) if case == "sign" else Morphism.identity(suq2)
+        f.verify()
+        cert = align_blocks(f, E, delta)
+    assert cert.report.ok
+    assert certified(cert.report, BLOCK_LINES) == \
+        sweep_blocks(cert.e_prime, cert.d_block) == dict.fromkeys(BLOCK_LINES, True)
+
+
+def test_pullback_through_a_change_of_basis_on_two_dimensional_corep(torus):
+    # f(y*) = f(v*): U = [[1,-1],[0,1]], and with dim c = 2 the conjugator
+    # U^-1 (x) I_2 differs from I_2 (x) U^-1
+    f, ell, c, delta, delta2 = torus
+    u1 = f.target
+    rep, art = verify_pullback_theorem(f, ell, c, Functional.constant_term(u1),
+                                       delta, delta2)
+    assert rep.ok
+    assert [ch.name for ch in rep.checks][3:] == [
+        "idempotent", "base-invariance", "block-form", *BLOCK_LINES,
+        "pullback-projector-match"]
+    cert = art["certificate"]
+    assert (cert.kept, cert.complement) == ([0], [1])
+    half = u1.one() * (QRat(1) / QRat(2))
+    assert cert.e_prime == art["E_prime"].entries == \
+        [[u1.one(), u1.zero()], [u1.zero(), u1.one()]]
+    assert cert.d_block == [[half, u1.zero()], [u1.zero(), half]]
 
 
 @pytest.mark.parametrize("n", [8, -8])
@@ -389,6 +562,8 @@ def test_projector_similarity(regular_suq2, fundamental, suq2, intertwiner_q):
     assert rep.ok
     ident = [[QRat(1), QRat(0)], [QRat(0), QRat(1)]]
     assert projector_similarity(E, ident).ok
+    # the intertwiner has Q^-1 = -Q/q, so only a shear fixes the direction
+    assert projector_similarity(E, [[QRat(1), q_power(1)], [QRat(0), QRat(1)]]).ok
 
 
 def test_cotensor_compare_podles(podles):

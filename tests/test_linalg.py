@@ -3,8 +3,9 @@ import random
 import pytest
 import sympy
 
+from qgalois import linalg
 from qgalois.linalg import (RowSpace, add_scaled, independent_subset,
-                            invert_scalar_matrix, nullspace)
+                            invert_scalar_matrix, kron, nullspace)
 from qgalois.scalars import QRat, q_power
 
 # entries over Q(q): 0 (three times, for sparsity), +-1, +-q, q^-1, 1 + q
@@ -109,6 +110,22 @@ def test_invert_scalar_matrix_known_and_singular():
     assert invert_scalar_matrix([[QRat(1), q], [-q, -q * q]]) is None
     assert invert_scalar_matrix([[QRat(0), QRat(0)], [QRat(1), QRat(1)]]) is None
     assert invert_scalar_matrix([]) == []
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_kron_entries_and_mixed_product(seed):
+    rng = random.Random(300 + seed)
+    a, b, c = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
+    A = [[rng.choice(ENTRIES) for _ in range(b)] for _ in range(a)]
+    B = [[rng.choice(ENTRIES) for _ in range(c)] for _ in range(b)]
+    C = [[rng.choice(ENTRIES) for _ in range(a)] for _ in range(c)]
+    K = kron(A, B)
+    assert len(K) == a * b and all(len(row) == b * c for row in K)
+    assert all(K[i * b + k][j * c + l] == A[i][j] * B[k][l]
+               for i in range(a) for j in range(b) for k in range(b) for l in range(c))
+    # (A (x) B)(B' (x) C) = A B' (x) B C with B' = identity
+    assert mat_mul(K, kron(identity(b), C)) == kron(A, mat_mul(B, C))
+    assert linalg.identity(a) == identity(a)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
