@@ -1,14 +1,18 @@
 """Associated-bundle idempotents: the retraction sigma built from a strong
-connection and a unital functional, the projector with entries
-sigma(r_mu(c_ij) a_nu), and the end-to-end verification of the pullback
-mechanism.  E and f(E) share one certificate, E = X Y with Y X = I_N on
-checked shapes; the block identities of F = S f(E) S^-1 = [[e',0],[d,0]],
-S scalar, follow from F^2 = F and are stated, not multiplied out.
+connection and a unital functional, the projector E := X Y from its factors
+X_{(mu,i),k} = r_mu(c_ik) and Y_{k,(nu,j)} = sigma(a_nu) against c_kj, and
+the end-to-end verification of the pullback mechanism.  E and f(E) share one
+certificate on checked shapes: Y X = I_N gives E^2 = E, and X colinear, Y
+anti-colinear and c S(c) = I give base invariance; X Y is the matrix
+sigma(r_mu(c_ij) a_nu) once X is colinear.  The block identities of
+F = S f(E) S^-1 = [[e',0],[d,0]], S scalar, follow from F^2 = F and are
+stated, not multiplied out.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 
 from . import structure
 from .comodule import (Coaction, Corepresentation, _flatten, cotensor_basis,
@@ -169,41 +173,71 @@ def _shape(X) -> str:
     return f"{len(X)}x{widths.pop() if len(widths) == 1 else 'ragged'}"
 
 
-def _certify_factorization(rep: Report, E, X, Y, N: int, fname: str = ""):
-    """E^2 = E from E = X Y and Y X = I_N, as then E^2 = X (Y X) Y = X Y = E in
-    any associative algebra; E must be M x M, X M x N and Y N x M with
-    N = dim c >= 1 and M >= 1 before any product is formed.  With a map name
-    the matrices read f(E), ..."""
+def _certify_factorization(rep: Report, X, Y, N: int, E=None, fname: str = ""):
+    """E^2 = E for E = X Y from Y X = I_N, as E^2 = X (Y X) Y; X must be M x N,
+    Y N x M and a given E M x M, N = dim c >= 1, M >= 1, before any product.
+    Without E, X Y is formed once and is E; a given E, such as f(E) entrywise,
+    is compared with X Y.  Returns E, or None on wrong shapes."""
     e, x, y = (f"{fname}({s})" if fname else s for s in "EXY")
-    M, tag = len(E), f"{e}^2 = {e}"
-    shapes = [_shape(E), _shape(X), _shape(Y)]
+    M, tag = len(X), f"{e}^2 = {e}"
+    shapes = [f"{M}x{M}" if E is None else _shape(E), _shape(X), _shape(Y)]
     if min(M, N) < 1 or shapes != [f"{M}x{M}", f"{M}x{N}", f"{N}x{M}"]:
         rep.add("idempotent", False,
                 f"{e} is {shapes[0]}, {x} is {shapes[1]}, {y} is {shapes[2]}; need "
                 f"MxM, MxN, NxM with M >= 1 and N = dim c = {N}", tag=tag)
-        return
-    one, zero = E[0][0].alg.one(), E[0][0].alg.zero()
+        return None
+    one, zero = X[0][0].alg.one(), X[0][0].alg.zero()
     identity_n = [[one if k == l else zero for l in range(N)] for k in range(N)]
-    bad = next((f"{e} != {x} {y} at ({r}, {c}): difference {(a - b).brief()}"
-                for r, c, a, b in _mismatches(E, mat_mul(X, Y))), None) or \
-        next((f"{y} {x} != I_{N} at ({k}, {l}): entry {a.brief()}"
-              for k, l, a, _ in _mismatches(mat_mul(Y, X), identity_n)), None)
+    product = mat_mul(X, Y)
+    bad = None if E is None else next(
+        (f"{e} != {x} {y} at ({r}, {c}): difference {(a - b).brief()}"
+         for r, c, a, b in _mismatches(E, product)), None)
+    bad = bad or next((f"{y} {x} != I_{N} at ({k}, {l}): entry {a.brief()}"
+                       for k, l, a, _ in _mismatches(mat_mul(Y, X), identity_n)), None)
     rep.add("idempotent", bad is None,
             bad or f"{e} = {x} {y} with {y} {x} = I_{N}; so {e}^2 = {x} ({y} {x}) {y} = {e}",
             tag=tag)
+    return product if E is None else E
 
 
-def _certify_invariance(rep: Report, entries, delta: Coaction, detail: str, tag: str):
-    """delta(e) = e (x) 1 for every entry; a FAIL names the first entry that
-    moves, and an empty matrix FAILs rather than pass vacuously."""
-    unit = TensorElem.unit((delta.H,))
-    bad = next(((r, c, e) for r, row in enumerate(entries) for c, e in enumerate(row)
-                if delta.apply(e) != TensorElem.from_poly(e).outer(unit)), None)
-    if bad is not None:
-        detail = f"not invariant at ({bad[0]}, {bad[1]}): entry {bad[2].brief()}"
-    elif not any(entries):
-        detail = "no entries to check"
-    rep.add("base-invariance", bad is None and any(entries), detail, tag=tag)
+def _colinear_defects(delta: Coaction, vectors, C):
+    """(vector, j, difference of the sides) wherever delta(x_j) !=
+    sum_i x_i (x) C_ij, for vectors x over A and a square matrix C over H:
+    C = c for the rows of X and the cotensor vectors, S(c) transposed for the
+    columns of Y."""
+    for r, x in enumerate(vectors):
+        for j, xj in enumerate(x):
+            diff = delta.apply(xj) - TensorElem((delta.A, delta.H), combine(
+                ({(u, v): cv for v, cv in C[i][j].terms.items()}, cu)
+                for i, xi in enumerate(x) for u, cu in xi.terms.items()), normal=True)
+            if not diff.is_zero:
+                yield r, j, diff
+
+
+def _certify_colinearity(rep: Report, X, Y, c: Corepresentation, delta: Coaction,
+                         shaped: bool, fname: str = ""):
+    """delta((X Y)_xy) = (X Y)_xy (x) 1 from three computed facts: X colinear,
+    delta(X_xk) = sum_l X_xl (x) c_lk; Y anti-colinear, delta(Y_ky) =
+    sum_m Y_my (x) S(c_km); and sum_k c_lk S(c_km) = delta_lm 1 in H.  As delta
+    is multiplicative, delta((X Y)_xy) = sum_lm X_xl Y_my (x) (c S(c))_lm.
+    A FAIL names the first bad entry and the difference of the two sides."""
+    e, x, y = (f"{fname}({s})" if fname else s for s in "EXY")
+    d, n, H = ("delta'" if fname else "delta"), c.n, c.H
+    S = [[structure.antipode(h) for h in row] for row in c.entries]
+    unit = [[H.one() if l == m else H.zero() for m in range(n)] for l in range(n)]
+    detail = "no entries to check" if not any(X) else \
+        f"not derived: {x} and {y} have the wrong shapes" if not shaped else next(chain(
+            (f"c S(c) != I_{n} at ({l}, {m}): entry {a.brief()}"
+             for l, m, a, _ in _mismatches(mat_mul(c.entries, S), unit)),
+            (f"{x} not colinear at ({r}, {k}): difference {t.brief()}"
+             for r, k, t in _colinear_defects(delta, X, c.entries)),
+            (f"{y} not anti-colinear at ({k}, {r}): difference {t.brief()}"
+             for r, k, t in _colinear_defects(delta, zip(*Y), list(zip(*S))))), None)
+    rep.add("base-invariance", detail is None, detail or (
+        f"{x} colinear, {d}({x}_xk) = sum_l {x}_xl (x) c_lk; {y} anti-colinear, "
+        f"{d}({y}_ky) = sum_m {y}_my (x) S(c_km); sum_k c_lk S(c_km) = delta_lm 1; so "
+        f"{d}({e}_xy) = {e}_xy (x) 1, as {d} is multiplicative (the relation checks "
+        "of verify)"), tag=f"{d}({e}_ij) = {e}_ij (x) 1")
 
 
 class Projector:
@@ -230,33 +264,25 @@ class Projector:
         return NCPoly(self.delta.A, combine((self.entries[k][k].terms, ONE)
                                             for k in range(self.size)), normal=True)
 
-    def __getitem__(self, rc):
-        r, c = rc
-        return self.entries[r][c]
-
 
 def projector(ell: StrongConnection, c: Corepresentation, phi: Functional,
               delta: Coaction) -> Projector:
-    """Build the idempotent with entries sigma(r_mu(c_ij) a_nu), certify its
-    entrywise invariance, and certify E^2 = E by E = X Y and Y X = I_{dim c},
-    X_{(mu,i),k} = r_mu(c_ik), Y_{k,(nu,j)} = (a_nu)_(0) tau(c_kj (a_nu)_(1)):
-    M^2 N + M N^2 products of small factors, not the M^3 of squaring E."""
+    """The idempotent E := X Y from X_{(mu,i),k} = r_mu(c_ik) and
+    Y_{k,(nu,j)} = (a_nu)_(0) tau(c_kj (a_nu)_(1)), the product formed once.
+    X colinear makes X Y the matrix sigma(r_mu(c_ij) a_nu), as delta is an
+    algebra map.  Y X = I_{dim c} certifies E^2 = E, and X colinear, Y
+    anti-colinear and c S(c) = I certify delta(E_ij) = E_ij (x) 1: N M sigma
+    evaluations, M^2 N + M N^2 products of small factors and (M + N) N
+    coaction images, not the M^3 of squaring E nor the M^2 of sweeping it."""
     a_mu, r_table = connection_expansion(ell, c)
     n = c.n
     labels = [(mu, i) for mu in range(len(a_mu)) for i in range(n)]
-    entries = []
-    for (mu, i) in labels:
-        row = []
-        for (nu, j) in labels:
-            row.append(sigma(phi, ell, delta, r_table[(i, j)][mu] * a_mu[nu]))
-        entries.append(row)
     X = [[r_table[(i, k)][mu] for k in range(n)] for (mu, i) in labels]
     Y = [[sigma(phi, ell, delta, a_mu[nu], c[k, j]) for (nu, j) in labels]
          for k in range(n)]
     rep = Report()
-    _certify_factorization(rep, entries, X, Y, n)
-    _certify_invariance(rep, entries, delta, "all entries satisfy delta(b) = b (x) 1",
-                        "delta(E_ij) = E_ij (x) 1")
+    entries = _certify_factorization(rep, X, Y, n)
+    _certify_colinearity(rep, X, Y, c, delta, entries is not None)
     if not rep.ok:
         raise ProjectorError("projector failed certification "
                              "(invalid connection or corepresentation)", rep)
@@ -266,7 +292,8 @@ def projector(ell: StrongConnection, c: Corepresentation, phi: Functional,
 def pullback_projector(f: Morphism, E: Projector, delta2: Coaction):
     """Apply a verified equivariant morphism entrywise; the image must again be
     an invariant idempotent, certified through f(E) = f(X) f(Y) and
-    f(Y) f(X) = f(I) = I, as f is an algebra map."""
+    f(Y) f(X) = f(I) = I, as f is an algebra map, and through f(X) colinear and
+    f(Y) anti-colinear under delta', as delta' o f = (f (x) id) o delta."""
     if not f.verified:
         raise PresentationError("pullback requires a verified morphism")
     if f.source is not E.delta.A:
@@ -274,9 +301,8 @@ def pullback_projector(f: Morphism, E: Projector, delta2: Coaction):
     entries, X, Y = ([[f.apply(e) for e in row] for row in M]
                      for M in (E.entries, E.X, E.Y))
     rep = Report()
-    _certify_factorization(rep, entries, X, Y, E.corep.n, fname="f")
-    _certify_invariance(rep, entries, delta2, "entries fixed by the target coaction",
-                        "delta'(f(E)_ij) = f(E)_ij (x) 1")
+    shaped = _certify_factorization(rep, X, Y, E.corep.n, entries, fname="f") is not None
+    _certify_colinearity(rep, X, Y, E.corep, delta2, shaped, fname="f")
     return entries, rep
 
 
@@ -361,31 +387,18 @@ def verify_pullback_theorem(f: Morphism, ell: StrongConnection, c: Corepresentat
     solver = RowSpace(f.target.term_key)
     for a2 in E2.a_mu:
         solver.insert(dict(a2.terms))
-    W = []
-    recon_ok = True
-    for mu in cert.kept:
-        coords = solver.coordinates(dict(f.apply(E.a_mu[mu]).terms))
-        if coords is None:
-            recon_ok = False
-            break
-        W.append(coords)
-    detail = "aligned block does not match the pullback projector"
-    if recon_ok and len(E2.a_mu) == len(cert.kept):
-        # W as built has W[col][row]; transpose to W[row][col]
-        Wt = [[W[b][a] for b in range(len(W))] for a in range(len(E2.a_mu))]
-        W_inv = invert_scalar_matrix(Wt)
-        if W_inv is None:
-            recon_ok = False
-        else:
-            conj = conjugate(f.target, kron(Wt, identity(c.n)), cert.e_prime,
-                             kron(W_inv, identity(c.n)))
-            recon_ok = conj == E2.entries
-            if recon_ok:
-                detail = ("e' = E' entrywise" if cert.e_prime == E2.entries
-                          else "e' = E' after the explicit change of basis W")
-    else:
-        recon_ok = False
+    W = [solver.coordinates(dict(f.apply(E.a_mu[mu]).terms)) for mu in cert.kept]
+    recon_ok = False
+    if None in W or len(E2.a_mu) != len(cert.kept):
         detail = "extracted bases span different spaces"
+    else:
+        Wt = [list(row) for row in zip(*W)]  # W has W[col][row]
+        W_inv = invert_scalar_matrix(Wt)
+        recon_ok = W_inv is not None and E2.entries == conjugate(
+            f.target, kron(Wt, identity(c.n)), cert.e_prime, kron(W_inv, identity(c.n)))
+        detail = "aligned block does not match the pullback projector" if not recon_ok \
+            else "e' = E' entrywise" if cert.e_prime == E2.entries \
+            else "e' = E' after the explicit change of basis W"
     rep.add("pullback-projector-match", recon_ok, detail,
             tag="e' = E' up to the recorded basis change")
     artifacts = {"E": E, "E_prime": E2, "certificate": cert}
@@ -403,11 +416,7 @@ def projector_similarity(E: Projector, Q) -> Report:
             tag="Q in GL_n(Q(q))")
     if Q_inv is None:
         return rep
-    H = c.H
-    entries = [[NCPoly(H, combine((c[k, l].terms, Qm[i][k] * Q_inv[l][j])
-                                  for k in range(c.n) for l in range(c.n)), normal=True)
-                for j in range(c.n)] for i in range(c.n)]
-    c2 = Corepresentation(f"{c.name}-conj", H, entries)
+    c2 = Corepresentation(f"{c.name}-conj", c.H, conjugate(c.H, Qm, c.entries, Q_inv))
     E2 = projector(E.ell, c2, E.phi, E.delta)
     same_basis = len(E2.a_mu) == len(E.a_mu) and all(
         a == b for a, b in zip(E2.a_mu, E.a_mu))
@@ -436,42 +445,22 @@ def cotensor_compare(E: Projector, c: Corepresentation, delta: Coaction,
     if c is not E.corep:
         raise PresentationError("cotensor comparison must use the projector's corepresentation")
     A = delta.A
-    n = c.n
-    # colinearity of the r-functions, the identity behind membership
-    colin_ok = True
-    for (i, j), rvec in E.r_table.items():
-        for mu, r in enumerate(rvec):
-            rhs = combine(({(u, v): cv for v, cv in c[k, j].terms.items()}, cu)
-                          for k in range(n) for u, cu in E.r_table[(i, k)][mu].terms.items())
-            if delta.apply(r).terms != rhs:
-                colin_ok = False
+    # colinearity of the r-functions, the rows of X: the identity behind membership
+    colin_ok = not any(_colinear_defects(delta, E.X, c.entries))
     rep.add("r-colinearity", colin_ok,
             "delta(r_mu(c_ij)) = sum_k r_mu(c_ik) (x) c_kj" if colin_ok
             else "colinearity fails", tag="delta o r_mu = (r_mu (x) id) o Delta")
     if generator_degree is None:
         generator_degree = d + 2
     b_basis = invariant_subspace(delta, generator_degree)
-    candidates = []
-    for b in b_basis:
-        for row in range(E.size):
-            vec = [b * E.entries[row][col] for col in range(E.size)]
-            img = [NCPoly(A, combine(((vec[col] * E.r_table[(jj, j)][nu]).terms, ONE)
-                                     for col, (nu, jj) in enumerate(E.labels)), normal=True)
-                   for j in range(n)]
-            candidates.append((vec, img))
-    member_ok = True
-    for _, img in candidates:
-        for j in range(n):
-            rhs = combine(({(u, v): cv for v, cv in c[i, j].terms.items()}, cu)
-                          for i in range(n) for u, cu in img[i].terms.items())
-            if delta.apply(img[j]).terms != rhs:
-                member_ok = False
+    vecs = [[b * e for e in row] for b in b_basis for row in E.entries]
+    imgs = mat_mul(vecs, E.X)  # Phi(b E_row) = b E_row X
+    member_ok = not any(_colinear_defects(delta, imgs, c.entries))
     rep.add("membership", member_ok,
             "Phi lands in the cotensor product" if member_ok else "image escapes",
             tag="delta(x_j) = sum_i x_i (x) c_ij")
     # injectivity on the generated row space
-    img_cols = [_flatten(img) for _, img in candidates]
-    vec_cols = [_flatten(vec) for vec, _ in candidates]
+    img_cols, vec_cols = [_flatten(img) for img in imgs], [_flatten(vec) for vec in vecs]
     key_order = lambda key: (key[0], A.term_key(key[1]))
     inj_ok = not any(combine(zip(vec_cols, sol)) for sol in nullspace(img_cols, key_order))
     rep.add("injectivity", inj_ok,
@@ -480,7 +469,7 @@ def cotensor_compare(E: Projector, c: Corepresentation, delta: Coaction,
     # surjectivity onto the truncated cotensor
     cot = cotensor_basis(delta, c, d)
     image_space = RowSpace(key_order)
-    for _, img in candidates:
+    for img in imgs:
         if all(p.degree() <= d for p in img):
             image_space.insert(_flatten(img))
     surj_ok = all(image_space.contains(_flatten(vec)) for vec in cot)

@@ -439,9 +439,7 @@ class NCPoly:
 
     def brief(self, limit: int = 4) -> str:
         """The expression cut after its first `limit` terms, for FAIL witnesses."""
-        items = sorted(self.terms.items(), key=lambda it: self.alg.term_key(it[0]))
-        head = format_terms(items[:limit], self.alg.term_key)
-        return head if len(items) <= limit else f"{head} + ... ({len(items) - limit} more terms)"
+        return format_terms(self.terms.items(), self.alg.term_key, limit=limit)
 
     def __repr__(self):
         return f"<{self.alg.name}: {self}>"
@@ -451,16 +449,17 @@ def format_word(w: Word) -> str:
     return " ".join(w) if w else "1"
 
 
-def format_terms(items, sort_key, word_formatter=format_word) -> str:
+def format_terms(items, sort_key, word_formatter=format_word, limit=None) -> str:
     """Render (word, coefficient) pairs in the shared expression grammar,
-    sorted by sort_key of the word.  Only the empty word prints as a bare
-    coefficient; any other word formatting to 1, such as the unit of a
-    tensor, keeps its coefficient in front."""
+    sorted by sort_key of the word and cut after `limit` terms.  Only the empty
+    word prints as a bare coefficient; any other word formatting to 1, such as
+    the unit of a tensor, keeps its coefficient in front."""
     items = sorted(items, key=lambda it: sort_key(it[0]))
     if not items:
         return "0"
+    more = len(items) - limit if limit is not None and len(items) > limit else 0
     parts = []
-    for w, c in items:
+    for w, c in items[:len(items) - more]:
         neg = c.is_negative
         mag = abs(c)
         cs = str(mag)
@@ -476,4 +475,4 @@ def format_terms(items, sort_key, word_formatter=format_word) -> str:
             parts.append(("-" if neg else "") + body)
         else:
             parts.append(("- " if neg else "+ ") + body)
-    return " ".join(parts)
+    return " ".join(parts) + (f" + ... ({more} more terms)" if more else "")

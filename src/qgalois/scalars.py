@@ -163,10 +163,11 @@ def _pdiv_exact(a, g):
     return tuple(quo)
 
 
-def _peval(a, x: Fraction) -> Fraction:
-    acc = Fraction(0)
+def _peval(a, num: int, den: int) -> int:
+    """den^deg a(num/den) in integers, by Horner's rule with no gcd."""
+    acc, scale = 0, 1
     for c in reversed(a):
-        acc = acc * x + c
+        acc, scale = acc * num + c * scale, scale * den
     return acc
 
 
@@ -363,10 +364,14 @@ class QRat:
     def evaluate(self, q0) -> Fraction:
         """Exact specialization at a rational point; raises PoleError at poles."""
         q0 = Fraction(q0)
-        d = _peval(self.den, q0)
+        a, b = q0.numerator, q0.denominator
+        d = _peval(self.den, a, b)
         if d == 0:
             raise PoleError(f"pole at q = {q0}")
-        return _peval(self.num, q0) / d
+        # num(q0) / den(q0) = b^(deg den - deg num) N / D, with N and D the integer values
+        shift = len(self.den) - len(self.num)
+        n = _peval(self.num, a, b)
+        return Fraction(n * b ** shift, d) if shift >= 0 else Fraction(n, d * b ** -shift)
 
     # -- formatting ---------------------------------------------------------
 

@@ -217,8 +217,12 @@ class TensorElem:
         return tuple(leg.term_key(w) for leg, w in zip(self.legs, key))
 
     def __str__(self):
+        return self.brief(None)
+
+    def brief(self, limit: int | None = 4) -> str:
+        """The expression cut after its first `limit` terms, for FAIL witnesses."""
         return format_terms(self.terms.items(), self.sort_key,
-                            lambda k: " (x) ".join(map(format_word, k)))
+                            lambda k: " (x) ".join(map(format_word, k)), limit)
 
     def __repr__(self):
         return f"<tensor {self}>"

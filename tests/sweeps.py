@@ -30,6 +30,12 @@ certifies the diagram on the connection domain.
 loops: the oracle for the factorization certificate E = X Y, Y X = I of
 `cherngalois.projector` and `cherngalois.pullback_projector`.
 
+`sweep_sigma_entries` builds each entry sigma(r_mu(c_ij) a_nu) of a projector
+with its own product, coaction and tau, and `sweep_invariance` applies the
+coaction to every entry: the oracles for E := X Y in `cherngalois.projector`
+and for its `base-invariance` line, derived from the colinearity of X, the
+anti-colinearity of Y and c S(c) = I.
+
 `sweep_blocks` multiplies out the block identities of F = [[e',0],[d,0]] in
 its own loops: the oracle for the `block-idempotent`, `block-absorption` and
 `conjugation` lines of `cherngalois.align_blocks`, which derive them from
@@ -117,6 +123,19 @@ def sweep_idempotent(entries) -> bool:
             if acc != entries[i][j]:
                 return False
     return True
+
+
+def sweep_sigma_entries(E) -> list:
+    """The matrix sigma(r_mu(c_ij) a_nu) over the labels (mu, i), (nu, j) of the
+    projector E, M^2 products, coactions and taus."""
+    return [[sigma(E.phi, E.ell, E.delta, E.r_table[(i, j)][mu] * E.a_mu[nu])
+             for (nu, j) in E.labels] for (mu, i) in E.labels]
+
+
+def sweep_invariance(E, delta) -> bool:
+    """delta(e) = e (x) 1 for every entry e of the polynomial matrix E."""
+    unit = TensorElem.unit((delta.H,))
+    return all(delta.apply(e) == TensorElem.from_poly(e).outer(unit) for row in E for e in row)
 
 
 def _product(X, Y):

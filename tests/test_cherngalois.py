@@ -10,7 +10,8 @@ from qgalois.cherngalois import (Functional, ProjectorError, _tau, align_blocks,
                                  cotensor_compare, mat_mul, projector,
                                  projector_similarity, pullback_projector,
                                  sigma, trace_rank, verify_pullback_theorem)
-from qgalois.comodule import contragredient, invariant_subspace, regular_coaction
+from qgalois.comodule import (Corepresentation, contragredient, invariant_subspace,
+                              regular_coaction)
 from qgalois.connection import (CoalgebraSpan, CoverageError, StrongConnection,
                                 pullback_connection)
 from qgalois.linalg import identity, invert_scalar_matrix, kron
@@ -19,7 +20,8 @@ from qgalois.scalars import QRat, q_power
 from qgalois.structure import Morphism
 from qgalois.tensors import TensorElem
 
-from sweeps import certified, sweep_blocks, sweep_idempotent, sweep_sigma_diagram
+from sweeps import (certified, sweep_blocks, sweep_idempotent, sweep_invariance,
+                    sweep_sigma_diagram, sweep_sigma_entries)
 
 # the circle acting diagonally on the torus C[v, v*, y, y*]; `glue` sends both
 # circles to one, so f(y*) = f(v*) and the pullback needs a change of basis
@@ -312,8 +314,73 @@ def test_non_invariant_entry_fails_with_witness(podles, suq2):
     entries = [list(row) for row in E.entries]
     entries[0][1] = entries[0][1] + suq2.gen("a")
     _, rep = _identity_pullback(_planted(E, entries=entries))
-    assert rep.checks[1].line() == \
-        "CHECK base-invariance FAIL not invariant at (0, 1): entry a + a g*"
+    assert rep.checks[0].line() == \
+        "CHECK idempotent FAIL f(E) != f(X) f(Y) at (0, 1): difference a"
+
+
+def _pulled_back(n):
+    """(coaction, projector) on u1 of the pulled-back connection that
+    `pullback --preset podles-line n` builds."""
+    delta2 = presets.regular_u1_coaction()
+    ell2 = pullback_connection(presets.collapse_morphism(),
+                               presets.fibration_connection(abs(n)), delta2)
+    return delta2, projector(ell2, presets.u1_corep(n),
+                             Functional.constant_term(delta2.A), delta2)
+
+
+@pytest.mark.parametrize("kind", [1, -1, 2, -2, 3, -3, 4, -4, 8, -8,
+                                  "u", "u-dual", "trivial", "pulled 2", "pulled -2"])
+def test_factors_agree_with_sigma_entries_and_invariance_sweep(kind):
+    # E := X Y is the sigma-built matrix, and every entry is invariant
+    if isinstance(kind, str) and kind.startswith("pulled"):
+        delta, E = _pulled_back(int(kind.split()[1]))
+    else:
+        delta, E = _bundle(kind)
+    assert E.entries == sweep_sigma_entries(E)
+    assert sweep_invariance(E.entries, delta)
+    check = next(c for c in E.report.checks if c.name == "base-invariance")
+    assert check.passed and check.detail.startswith("X colinear, delta(X_xk) = ")
+
+
+def test_non_colinear_x_entry_fails_base_invariance_with_witness(suq2):
+    # X = [[q^2 g*], [a*]] for winding -1: delta(a) = a (x) u, not a (x) u*
+    _, E = _bundle(-1)
+    X = [list(row) for row in E.X]
+    X[0][0] = X[0][0] + suq2.gen("a")
+    _, rep = _identity_pullback(_planted(E, X=X))
+    assert certified(rep, {"base-invariance"}) == {"base-invariance": False}
+    assert rep.checks[1].detail == \
+        "f(X) not colinear at (0, 0): difference a (x) u - a (x) u*"
+
+
+def test_non_anti_colinear_y_entry_fails_base_invariance_with_witness(podles, suq2):
+    _, _, _, E = podles
+    Y = [list(row) for row in E.Y]
+    Y[0][1] = Y[0][1] + suq2.gen("a")
+    _, rep = _identity_pullback(_planted(E, Y=Y))
+    assert rep.checks[1].line() == "CHECK base-invariance FAIL f(Y) not anti-colinear " \
+        "at (0, 1): difference a (x) u - a (x) u*"
+
+
+def test_misshapen_factors_fail_both_lines_without_a_product(podles):
+    _, _, _, E = podles
+    _, rep = _identity_pullback(_planted(E, X=[row * 2 for row in E.X]))
+    assert rep.lines() == [
+        "CHECK idempotent FAIL f(E) is 2x2, f(X) is 2x2, f(Y) is 1x2; "
+        "need MxM, MxN, NxM with M >= 1 and N = dim c = 1",
+        "CHECK base-invariance FAIL not derived: f(X) and f(Y) have the wrong shapes"]
+
+
+def test_corep_without_antipode_identity_fails_base_invariance(fibration, suq2, u1):
+    # c = [[2 u]] is no corepresentation: c S(c) = 4, which base invariance
+    # checks before the colinearity of X and Y
+    doubled = Corepresentation("doubled", u1, [[u1.gen("u") * 2]])
+    with pytest.raises(ProjectorError) as exc:
+        projector(presets.u1_power_connection(1), doubled,
+                  Functional.constant_term(suq2), fibration)
+    assert exc.value.report.lines() == [
+        "CHECK idempotent FAIL Y X != I_1 at (0, 0): entry 4",
+        "CHECK base-invariance FAIL c S(c) != I_1 at (0, 0): entry 4"]
 
 
 def test_doubled_factor_fails_idempotent_and_every_derived_line(podles, suq2):

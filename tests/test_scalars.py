@@ -77,6 +77,44 @@ def test_evaluate_is_a_homomorphism(a, b):
     assert (a + b).evaluate(point) == va + vb
 
 
+def _fraction_horner(a, x: Fraction) -> Fraction:
+    """Horner's rule in Fraction, one gcd per step: the oracle for the integer
+    Horner of QRat.evaluate."""
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+points = st.one_of(
+    st.sampled_from([Fraction(3, 7), Fraction(-3, 7), Fraction(0), Fraction(1), -1, 2,
+                     10 ** 30, Fraction(-7, 10 ** 20), Fraction(10 ** 15 + 1, 3)]),
+    st.integers(min_value=-10 ** 12, max_value=10 ** 12),
+    st.fractions(max_denominator=10 ** 9).filter(lambda x: abs(x) < 10 ** 9))
+
+
+@settings(max_examples=200, deadline=None)
+@given(qrats(), points)
+def test_evaluate_matches_fraction_horner(a, point):
+    den = _fraction_horner(a.den, Fraction(point))
+    if den == 0:
+        with pytest.raises(PoleError):
+            a.evaluate(point)
+        return
+    value = a.evaluate(point)
+    assert type(value) is Fraction
+    assert value == _fraction_horner(a.num, Fraction(point)) / den
+
+
+def test_evaluate_zero_and_integer_points():
+    for point in (1, -3, Fraction(3, 7), 10 ** 40):
+        assert type(QRat(0).evaluate(point)) is Fraction and QRat(0).evaluate(point) == 0
+    # the degree correction b^(deg den - deg num), both signs: q/(q^3+1) and q^3/(q+2)
+    assert (q / (q_power(3) + 1)).evaluate(Fraction(1, 2)) == Fraction(4, 9)
+    assert (q_power(3) / (q + 2)).evaluate(Fraction(-1, 3)) == Fraction(-1, 45)
+    assert type(q.evaluate(1)) is Fraction
+
+
 @settings(max_examples=120, deadline=None)
 @given(qrats())
 def test_parse_format_round_trip(suq2, a):
