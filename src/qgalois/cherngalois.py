@@ -444,9 +444,12 @@ def cotensor_compare(E: Projector, c: Corepresentation, delta: Coaction,
     rep = Report()
     if c is not E.corep:
         raise PresentationError("cotensor comparison must use the projector's corepresentation")
+    if delta is not E.delta:
+        raise PresentationError("cotensor comparison must use the projector's coaction")
     A = delta.A
-    # colinearity of the r-functions, the rows of X: the identity behind membership
-    colin_ok = not any(_colinear_defects(delta, E.X, c.entries))
+    # colinearity of the r-functions, the rows of X: the identity behind membership,
+    # certified with the projector's base-invariance line on this X, c and delta
+    colin_ok = next(ch.passed for ch in E.report.checks if ch.name == "base-invariance")
     rep.add("r-colinearity", colin_ok,
             "delta(r_mu(c_ij)) = sum_k r_mu(c_ik) (x) c_kj" if colin_ok
             else "colinearity fails", tag="delta o r_mu = (r_mu (x) id) o Delta")

@@ -1,15 +1,18 @@
 """Command-line front end: verification suites, projector and pullback
 artifacts, and rendering of stored reports.
 
+`qgalois COMMAND [OPTIONS]` takes the options that COMMANDS lists for the
+command under their exact names, as `--opt value` or `--opt=value` (USAGE).
+
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 input error.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import presets
 from .cherngalois import (Functional, ProjectorError, projector, trace_rank,
@@ -297,40 +300,69 @@ def cmd_report(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="qgalois",
-                                 description="symbolic workbench for quantum "
-                                             "principal bundles over Q(q)")
-    sub = ap.add_subparsers(dest="command", required=True)
+# Options of each command: str takes one value, list one or more, int an integer.
+_COMMON = {"--preset": list, "--input": str, "--output": str}
+COMMANDS = {
+    "verify": {**_COMMON, "--max-degree": int},
+    "projector": {**_COMMON, "--corep": str, "--q": str},
+    "pullback": {**_COMMON, "--morphism": str, "--connection": str, "--corep-name": str,
+                 "--q": str},
+    "report": {"--input": str},
+}
+DEFAULTS = {"--corep": "u", "--q": "symbolic"}
 
-    def common(p):
-        p.add_argument("--preset", nargs="+", metavar="NAME",
-                       help="suq2 | u1 | podles-line N | trivial-base")
-        p.add_argument("--input", metavar="PATH", help="presentation file")
-        p.add_argument("--output", metavar="PATH", help="write a JSON artifact")
+USAGE = """usage: qgalois {verify,projector,pullback,report} [OPTIONS]
 
-    pv = sub.add_parser("verify", help="run verification suites")
-    common(pv)
-    pv.add_argument("--max-degree", type=int, default=None, metavar="N",
-                    help="accepted and not read; every certificate holds in all degrees")
-    pp = sub.add_parser("projector", help="compute an associated-bundle idempotent")
-    common(pp)
-    pp.add_argument("--corep", default="u", help="u | u-dual | trivial")
-    pb = sub.add_parser("pullback", help="verify the pullback mechanism end to end")
-    common(pb)
-    pb.add_argument("--morphism", default=None)
-    pb.add_argument("--connection", default=None)
-    pb.add_argument("--corep-name", default=None)
-    for p in (pp, pb):
-        p.add_argument("--q", default="symbolic", metavar="SPEC",
-                       help="symbolic or a rational value like 1 or 3/7")
-    pr = sub.add_parser("report", help="render a stored artifact")
-    pr.add_argument("--input", metavar="PATH")
-    return ap
+  verify     --preset NAME | --input PATH  [--output PATH] [--max-degree N]
+  projector  --preset NAME  [--corep u|u-dual|trivial] [--q SPEC] [--output PATH]
+  pullback   [--preset podles-line N | --input PATH [--morphism NAME]
+             [--connection NAME] [--corep-name NAME]] [--q SPEC] [--output PATH]
+  report     --input ARTIFACT.json
+
+NAME is suq2 | u1 | podles-line N | trivial-base; SPEC is symbolic (default)
+or a rational like 1 or 3/7.  Options take exact names, also as --opt=value.
+"""
+
+
+def _usage_error(message):
+    print(USAGE.splitlines()[0], f"qgalois: error: {message}", sep="\n", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """The command and its options, defaults filled in, as the cmd_* functions
+    read them.  Usage errors exit 2; -h or --help prints USAGE and exits 0."""
+    if "-h" in argv or "--help" in argv:
+        print(USAGE, end="")
+        raise SystemExit(0)
+    if not argv or argv[0] not in COMMANDS:
+        _usage_error(f"expected a command ({', '.join(COMMANDS)}), got {(argv or ['none'])[0]}")
+    command, options = argv[0], COMMANDS[argv[0]]
+    args = SimpleNamespace(command=command, **{o[2:].replace("-", "_"): DEFAULTS.get(o)
+                                               for o in options})
+    i = 1
+    while i < len(argv):
+        option, eq, inline = argv[i].partition("=")
+        kind = options.get(option)
+        if kind is None:
+            _usage_error(f"unrecognized argument {argv[i]!r} for {command}")
+        j = i = i + 1
+        while not eq and j < len(argv) and not argv[j].startswith("--") and (
+                j == i or kind is list):
+            j += 1
+        values, i = ([inline] if eq else argv[i:j]), j
+        if not values:
+            _usage_error(f"{option} needs a value")
+        try:
+            value = values if kind is list else kind(values[0])
+        except ValueError:
+            _usage_error(f"{option} expects an integer, got {values[0]!r}")
+        setattr(args, option[2:].replace("-", "_"), value)
+    return args
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         if args.command == "verify":
             if not args.input and not args.preset:
@@ -344,9 +376,7 @@ def main(argv=None) -> int:
             if not args.preset and not args.input:
                 args.preset = ["podles-line", "1"]
             return cmd_pullback(args)
-        if args.command == "report":
-            return cmd_report(args)
-        raise InputError(f"unknown command {args.command!r}")
+        return cmd_report(args)
     except ProjectorError as exc:
         if exc.report is not None:
             _emit(exc.report)

@@ -40,7 +40,12 @@ anti-colinearity of Y and c S(c) = I.
 its own loops: the oracle for the `block-idempotent`, `block-absorption` and
 `conjugation` lines of `cherngalois.align_blocks`, which derive them from
 f(E)^2 = f(E) and the block form.
+
+`reference_parser` is the argparse command line that `qgalois.cli` used
+before its option table: the oracle for `cli.parse_args`.
 """
+
+import argparse
 
 from qgalois import structure
 from qgalois.cherngalois import sigma
@@ -257,3 +262,35 @@ def reference_coacted_membership(delta, target, d: int):
         columns, variables, target,
         lambda k: (A.term_key(k[0]), H.term_key(k[1]), H.term_key(k[2])))
     return None if sol is None else TensorElem((A, H), sol, normal=True)
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(prog="qgalois",
+                                 description="symbolic workbench for quantum "
+                                             "principal bundles over Q(q)")
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    def common(p):
+        p.add_argument("--preset", nargs="+", metavar="NAME",
+                       help="suq2 | u1 | podles-line N | trivial-base")
+        p.add_argument("--input", metavar="PATH", help="presentation file")
+        p.add_argument("--output", metavar="PATH", help="write a JSON artifact")
+
+    pv = sub.add_parser("verify", help="run verification suites")
+    common(pv)
+    pv.add_argument("--max-degree", type=int, default=None, metavar="N",
+                    help="accepted and not read; every certificate holds in all degrees")
+    pp = sub.add_parser("projector", help="compute an associated-bundle idempotent")
+    common(pp)
+    pp.add_argument("--corep", default="u", help="u | u-dual | trivial")
+    pb = sub.add_parser("pullback", help="verify the pullback mechanism end to end")
+    common(pb)
+    pb.add_argument("--morphism", default=None)
+    pb.add_argument("--connection", default=None)
+    pb.add_argument("--corep-name", default=None)
+    for p in (pp, pb):
+        p.add_argument("--q", default="symbolic", metavar="SPEC",
+                       help="symbolic or a rational value like 1 or 3/7")
+    pr = sub.add_parser("report", help="render a stored artifact")
+    pr.add_argument("--input", metavar="PATH")
+    return ap

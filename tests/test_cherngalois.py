@@ -15,6 +15,7 @@ from qgalois.comodule import (Corepresentation, contragredient, invariant_subspa
 from qgalois.connection import (CoalgebraSpan, CoverageError, StrongConnection,
                                 pullback_connection)
 from qgalois.linalg import identity, invert_scalar_matrix, kron
+from qgalois.ncalg import PresentationError
 from qgalois.presfile import parse_workspace
 from qgalois.scalars import QRat, q_power
 from qgalois.structure import Morphism
@@ -645,6 +646,15 @@ def test_cotensor_compare_trivial_corep(regular_suq2, suq2):
     E = projector(ell, presets.trivial_corep(suq2), phi, regular_suq2)
     rep = cotensor_compare(E, E.corep, regular_suq2, 1)
     assert rep.ok
+
+
+def test_cotensor_compare_needs_the_projectors_coaction(podles, regular_suq2):
+    # r-colinearity is read off E's base-invariance line, which certified E.X
+    # under E.delta only; another coaction on the same algebra is refused
+    delta, _, _, E = podles
+    assert regular_suq2.A is delta.A and regular_suq2 is not delta
+    with pytest.raises(PresentationError, match="the projector's coaction"):
+        cotensor_compare(E, E.corep, regular_suq2, 1)
 
 
 def test_trace_rank_of_scalar_base(regular_suq2, fundamental, suq2):

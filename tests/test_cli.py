@@ -7,10 +7,12 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from qgalois import presets
-from qgalois.cli import console_main, main
+from qgalois.cli import COMMANDS, console_main, main, parse_args
+
+from sweeps import reference_parser
 
 
 def run(capsys, *argv):
@@ -258,6 +260,96 @@ def test_console_main_exits_with_the_code(capsys, monkeypatch, argv, code):
     with pytest.raises(SystemExit) as exc:
         console_main()
     assert exc.value.code == code
+
+
+@pytest.mark.parametrize("argv, outcome", [
+    pytest.param(["--help"], 0, id="help"),
+    pytest.param([], 2, id="no-command"),
+    pytest.param(["verify", "--max-degree", "x"], 2, id="max-degree-not-int"),
+    pytest.param(["verify", "--bogus"], 2, id="unknown-option"),
+    pytest.param(["verify", "--preset", "u1", "--output"], 2, id="missing-value"),
+    pytest.param(["projector", "--q=1/3"], {"q": "1/3"}, id="equals-form"),
+    pytest.param(["verify", "--preset", "podles-line", "-1"],
+                 {"preset": ["podles-line", "-1"]}, id="dash-value"),
+])
+def test_command_line_grammar(capsys, argv, outcome):
+    if isinstance(outcome, dict):
+        args = parse_args(argv)
+        assert {name: getattr(args, name) for name in outcome} == outcome
+        return
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == outcome
+    out, err = capsys.readouterr()
+    if outcome == 0:
+        assert all(command in out for command in ("verify", "projector", "pullback", "report"))
+    else:
+        assert out == "" and err.startswith("usage: qgalois ")
+        assert err.splitlines()[1].startswith("qgalois: error: ")
+
+
+CLI_OPTIONS = sorted({option for options in COMMANDS.values() for option in options}
+                     | {"--bogus"})
+CLI_VALUES = st.sampled_from(["-1", "-2.5", "x", "1/3", "u1", "podles-line", "2", "report"])
+
+
+def cli_tokens(options):
+    """Argument groups, mostly well formed, for a command with these options;
+    about one name in four is any command's option or unknown."""
+    name = st.sampled_from(sorted(options) * 8 + CLI_OPTIONS)
+    return st.one_of(*[st.tuples(name, CLI_VALUES).map(list)] * 3,  # --opt value
+                     *[st.builds("{}={}".format, name, CLI_VALUES).map(lambda t: [t])] * 2,
+                     st.tuples(name, CLI_VALUES, CLI_VALUES).map(list),  # a list or a stray
+                     name.map(lambda n: [n]),  # a missing value
+                     CLI_VALUES.map(lambda v: [v]))  # a stray token
+
+
+def _parse_outcome(parse, argv):
+    with contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parse(argv))
+        except SystemExit as exc:
+            return exc.code
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_parser_agrees_with_argparse(data):
+    """parse_args and the argparse oracle give the same namespace, or both
+    exit 2, on exact names, --opt=value forms, repeats, missing values,
+    unknown options, stray tokens and values such as -1, x and 1/3.
+
+    Deliberate differences, not drawn: abbreviations (argparse reads `--max`
+    as `--max-degree`, and `--corep` of pullback as `--corep-name`); the
+    `-h`/`--help` text; values that argparse takes for flags because they
+    start with a dash and are no negative number (`--q -1/3`, `--output -x`),
+    which parse_args takes as values; and argparse's `--` end-of-options
+    marker.  `--preset=podles-line 1` is no difference: both refuse the
+    stray `1`, as `--opt=value` gives one value."""
+    command = data.draw(st.sampled_from([None, "nonesuch", *COMMANDS] + [*COMMANDS] * 2))
+    rest = sum(data.draw(st.lists(cli_tokens(COMMANDS.get(command, CLI_OPTIONS)),
+                                  max_size=4)), [])
+    argv = ([command] if command else []) + rest
+    options = COMMANDS.get(argv[0] if argv else None, {})  # a stray may be a command
+    assume(not any(name not in options and any(o.startswith(name) for o in options)
+                   for name in (t.partition("=")[0] for t in rest if t.startswith("--"))))
+    assert _parse_outcome(parse_args, argv) == \
+        _parse_outcome(reference_parser().parse_args, argv)
+
+
+def test_cli_does_not_import_argparse():
+    # a cold command pays for no argparse, gettext or its locale lookup
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import contextlib, io, sys\n"
+            "from qgalois.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(['verify', '--preset', 'u1'])\n"
+            "print(code, sorted({'argparse', 'gettext'} & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=30, env=env)
+    assert proc.stdout == "0 []\n", proc.stderr
 
 
 def test_verify_needs_preset_or_input(capsys):
