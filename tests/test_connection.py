@@ -89,6 +89,11 @@ def test_left_colinearity_fails_independently(fibration, suq2, u1):
     assert by_name["mult-counit u"]
     assert by_name["right-colinearity u"]
     assert not by_name["left-colinearity u"]
+    detail = {c.name: c.detail for c in rep.checks}
+    assert detail["right-colinearity u"] == ""
+    assert detail["left-colinearity u"] == (
+        "difference 1/q u (x) a (x) g - u (x) g (x) a - 1/q u* (x) a (x) g "
+        "+ u* (x) g (x) a")
 
 
 def test_wrong_winding_fails_colinearity(fibration, suq2, u1):
@@ -103,6 +108,11 @@ def test_wrong_winding_fails_colinearity(fibration, suq2, u1):
     by_name = {c.name: c.passed for c in rep.checks}
     assert by_name["mult-counit u"]
     assert not by_name["right-colinearity u"]
+    # the witness is the difference of the two sides, cut after four terms
+    detail = {c.name: c.detail for c in rep.checks}
+    assert detail["right-colinearity u"] == (
+        "difference -a (x) a* (x) u + a (x) a* (x) u* - q^2 g (x) g* (x) u "
+        "+ q^2 g (x) g* (x) u*")
 
 
 def test_coverage_error_carries_element(fibration, u1, suq2):

@@ -1,12 +1,18 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qgalois import presets
 from qgalois.presfile import (PresentationFileError, parse_element,
                               parse_expression, parse_tensor, parse_workspace)
 from qgalois.scalars import QRat, q_power, qrat
 from qgalois.tensors import TensorElem
+
+from sweeps import reference_parse_expression
+
+_VOCABULARY = ["a", "a*", "g", "g*", "u", "u*", "q", "t", "0", "1", "2", "3/2",
+               "+", "-", "*", "/", "^", "(", ")", "(x)"]
 
 
 def test_preset_source_round_trip():
@@ -80,6 +86,48 @@ def test_parse_tensor_signed_leg(suq2):
     assert parse("a (x) - -g") == pure(one, "a", "g")
     assert parse("-a (x) -q g") == pure(q_power(1), "a", "g")
     assert parse("a (x) +g") == parse("a (x) g")
+
+
+def _outcome(parse, text, legs, allow_t):
+    try:
+        return parse(text, legs, allow_t=allow_t)
+    except PresentationFileError as exc:
+        return exc
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(_VOCABULARY), max_size=10))
+def test_grammar_agrees_with_token_splitting(suq2, u1, tokens):
+    """The recursive-descent grammar against `reference_parse_expression`, the
+    token-splitting parser it replaced, with 1 and 2 legs, with and without t:
+    the same value, or both refuse.  The one difference: the reference reads an
+    empty tensor leg as the unit word and drops a trailing sign (`a (x)`,
+    `(x) u`, `a g -`), where the grammar refuses with `empty tensor leg`."""
+    text = " ".join(tokens)
+    for legs in ([suq2], [suq2, u1]):
+        for allow_t in (False, True):
+            new = _outcome(parse_expression, text, legs, allow_t)
+            old = _outcome(reference_parse_expression, text, legs, allow_t)
+            if isinstance(new, PresentationFileError):
+                assert isinstance(old, PresentationFileError) or \
+                    "empty tensor leg" in str(new), (text, old, new)
+            else:
+                assert new == old, (text, legs, allow_t)
+
+
+@pytest.mark.parametrize("text", ["a (x)", "(x) u", "a g -", "a +", "a (x) (x) g"])
+def test_empty_tensor_leg_rejected(suq2, u1, text):
+    legs = [suq2, u1] if "(x)" in text else [suq2]
+    with pytest.raises(PresentationFileError, match="empty tensor leg"):
+        parse_expression(text, legs)
+
+
+def test_table_line_needs_a_name():
+    # an empty left side used to escape as an IndexError
+    src = "algebra z\ngenerators z z*\nstar z z*\nrel z z* = 1\nrel z* z = 1\ncounit = 1\n"
+    with pytest.raises(PresentationFileError, match="NAME = EXPR") as exc:
+        parse_workspace(src, filename="broken.alg")
+    assert exc.value.line == 6
 
 
 def test_tensor_leg_count_checked(suq2):
