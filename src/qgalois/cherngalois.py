@@ -2,16 +2,18 @@
 connection and a unital functional, the projector E := X Y from its factors
 X_{(mu,i),k} = r_mu(c_ik) and Y_{k,(nu,j)} = sigma(a_nu) against c_kj, and
 the end-to-end verification of the pullback mechanism.  E and f(E) share one
-certificate on checked shapes: Y X = I_N gives E^2 = E, and X colinear, Y
-anti-colinear and c S(c) = I give base invariance; X Y is the matrix
-sigma(r_mu(c_ij) a_nu) once X is colinear.  The block identities of
-F = S f(E) S^-1 = [[e',0],[d,0]], S scalar, follow from F^2 = F and are
-stated, not multiplied out.
+certificate on checked shapes that reads only the factors: Y X = I_N gives
+E^2 = E, and X colinear, Y anti-colinear and c S(c) = I give base invariance.
+E, the matrix sigma(r_mu(c_ij) a_nu) once X is colinear, is formed on first
+read; f(E) := f(X) f(Y) is exact, as f is a verified algebra map.  The block
+identities of F = S f(E) S^-1 = [[e',0],[d,0]], S scalar, follow from F^2 = F
+and are stated, not multiplied out.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 
 from . import structure
@@ -169,31 +171,24 @@ def _shape(X) -> str:
     return f"{len(X)}x{widths.pop() if len(widths) == 1 else 'ragged'}"
 
 
-def _certify_factorization(rep: Report, X, Y, N: int, E=None, fname: str = ""):
-    """E^2 = E for E = X Y from Y X = I_N, as E^2 = X (Y X) Y; X must be M x N,
-    Y N x M and a given E M x M, N = dim c >= 1, M >= 1, before any product.
-    Without E, X Y is formed once and is E; a given E, such as f(E) entrywise,
-    is compared with X Y.  Returns E, or None on wrong shapes."""
+def _certify_factorization(rep: Report, X, Y, N: int, fname: str = "") -> bool:
+    """E^2 = E for E = X Y from Y X = I_N, as E^2 = X (Y X) Y; X must be M x N
+    and Y N x M, N = dim c >= 1, M >= 1, before any product.  X Y is left to
+    whoever reads E.  Returns whether the shapes hold."""
     e, x, y = (f"{fname}({s})" if fname else s for s in "EXY")
     M, tag = len(X), f"{e}^2 = {e}"
-    shapes = [f"{M}x{M}" if E is None else _shape(E), _shape(X), _shape(Y)]
-    if min(M, N) < 1 or shapes != [f"{M}x{M}", f"{M}x{N}", f"{N}x{M}"]:
+    shapes = [_shape(X), _shape(Y)]
+    if min(M, N) < 1 or shapes != [f"{M}x{N}", f"{N}x{M}"]:
         rep.add("idempotent", False,
-                f"{e} is {shapes[0]}, {x} is {shapes[1]}, {y} is {shapes[2]}; need "
+                f"{e} is {M}x{M}, {x} is {shapes[0]}, {y} is {shapes[1]}; need "
                 f"MxM, MxN, NxM with M >= 1 and N = dim c = {N}", tag=tag)
-        return None
-    one, zero = X[0][0].alg.one(), X[0][0].alg.zero()
-    identity_n = [[one if k == l else zero for l in range(N)] for k in range(N)]
-    product = mat_mul(X, Y)
-    bad = None if E is None else next(
-        (f"{e} != {x} {y} at ({r}, {c}): difference {(a - b).brief()}"
-         for r, c, a, b in _mismatches(E, product)), None)
-    bad = bad or next((f"{y} {x} != I_{N} at ({k}, {l}): entry {a.brief()}"
-                       for k, l, a, _ in _mismatches(mat_mul(Y, X), identity_n)), None)
+        return False
+    bad = next((f"{y} {x} != I_{N} at ({k}, {l}): entry {a.brief()}"
+                for k, l, a, _ in _mismatches(mat_mul(Y, X), identity(N))), None)
     rep.add("idempotent", bad is None,
             bad or f"{e} = {x} {y} with {y} {x} = I_{N}; so {e}^2 = {x} ({y} {x}) {y} = {e}",
             tag=tag)
-    return product if E is None else E
+    return True
 
 
 def _colinear_defects(delta: Coaction, vectors, C):
@@ -218,13 +213,12 @@ def _certify_colinearity(rep: Report, X, Y, c: Corepresentation, delta: Coaction
     is multiplicative, delta((X Y)_xy) = sum_lm X_xl Y_my (x) (c S(c))_lm.
     A FAIL names the first bad entry and the difference of the two sides."""
     e, x, y = (f"{fname}({s})" if fname else s for s in "EXY")
-    d, n, H = ("delta'" if fname else "delta"), c.n, c.H
+    d, n = ("delta'" if fname else "delta"), c.n
     S = [[structure.antipode(h) for h in row] for row in c.entries]
-    unit = [[H.one() if l == m else H.zero() for m in range(n)] for l in range(n)]
     detail = "no entries to check" if not any(X) else \
         f"not derived: {x} and {y} have the wrong shapes" if not shaped else next(chain(
             (f"c S(c) != I_{n} at ({l}, {m}): entry {a.brief()}"
-             for l, m, a, _ in _mismatches(mat_mul(c.entries, S), unit)),
+             for l, m, a, _ in _mismatches(mat_mul(c.entries, S), identity(n))),
             (f"{x} not colinear at ({r}, {k}): difference {t.brief()}"
              for r, k, t in _colinear_defects(delta, X, c.entries)),
             (f"{y} not anti-colinear at ({k}, {r}): difference {t.brief()}"
@@ -240,21 +234,25 @@ class Projector:
     """Idempotent matrix over the coaction invariants, indexed by (mu, i)."""
 
     def __init__(self, ell: StrongConnection, c: Corepresentation, phi: Functional,
-                 delta: Coaction, a_mu, r_table, entries, factors, report: Report):
+                 delta: Coaction, a_mu, r_table, factors, report: Report):
         self.ell = ell
         self.corep = c
         self.phi = phi
         self.delta = delta
         self.a_mu = a_mu
         self.r_table = r_table
-        self.entries = entries
         self.X, self.Y = factors
         self.labels = [(mu, i) for mu in range(len(a_mu)) for i in range(c.n)]
         self.report = report
 
+    @cached_property
+    def entries(self):
+        """E = X Y, formed on first read; no certificate reads it."""
+        return mat_mul(self.X, self.Y)
+
     @property
     def size(self) -> int:
-        return len(self.entries)
+        return len(self.X)
 
     def trace(self) -> NCPoly:
         return NCPoly(self.delta.A, combine((self.entries[k][k].terms, ONE)
@@ -264,12 +262,12 @@ class Projector:
 def projector(ell: StrongConnection, c: Corepresentation, phi: Functional,
               delta: Coaction) -> Projector:
     """The idempotent E := X Y from X_{(mu,i),k} = r_mu(c_ik) and
-    Y_{k,(nu,j)} = (a_nu)_(0) tau(c_kj (a_nu)_(1)), the product formed once.
+    Y_{k,(nu,j)} = (a_nu)_(0) tau(c_kj (a_nu)_(1)), formed on first read.
     X colinear makes X Y the matrix sigma(r_mu(c_ij) a_nu), as delta is an
     algebra map.  Y X = I_{dim c} certifies E^2 = E, and X colinear, Y
     anti-colinear and c S(c) = I certify delta(E_ij) = E_ij (x) 1: N M sigma
-    evaluations, M^2 N + M N^2 products of small factors and (M + N) N
-    coaction images, not the M^3 of squaring E nor the M^2 of sweeping it."""
+    evaluations, M N^2 products of small factors and (M + N) N coaction
+    images, not the M^2 N of forming E nor the M^3 of squaring it."""
     a_mu, r_table = connection_expansion(ell, c)
     n = c.n
     labels = [(mu, i) for mu in range(len(a_mu)) for i in range(n)]
@@ -277,29 +275,28 @@ def projector(ell: StrongConnection, c: Corepresentation, phi: Functional,
     Y = [[sigma(phi, ell, delta, a_mu[nu], c[k, j]) for (nu, j) in labels]
          for k in range(n)]
     rep = Report()
-    entries = _certify_factorization(rep, X, Y, n)
-    _certify_colinearity(rep, X, Y, c, delta, entries is not None)
+    shaped = _certify_factorization(rep, X, Y, n)
+    _certify_colinearity(rep, X, Y, c, delta, shaped)
     if not rep.ok:
         raise ProjectorError("projector failed certification "
                              "(invalid connection or corepresentation)", rep)
-    return Projector(ell, c, phi, delta, a_mu, r_table, entries, (X, Y), rep)
+    return Projector(ell, c, phi, delta, a_mu, r_table, (X, Y), rep)
 
 
 def pullback_projector(f: Morphism, E: Projector, delta2: Coaction):
-    """Apply a verified equivariant morphism entrywise; the image must again be
-    an invariant idempotent, certified through f(E) = f(X) f(Y) and
-    f(Y) f(X) = f(I) = I, as f is an algebra map, and through f(X) colinear and
-    f(Y) anti-colinear under delta', as delta' o f = (f (x) id) o delta."""
+    """(f(E), Report) with f(E) := f(X) f(Y) formed in the target, never
+    reading E: it is f(E) entrywise, as f is a verified algebra map.  Certified
+    by f(Y) f(X) = I, f(X) colinear and f(Y) anti-colinear under delta', as
+    delta' o f = (f (x) id) o delta; f(E) is None on wrong shapes."""
     if not f.verified:
         raise PresentationError("pullback requires a verified morphism")
     if f.source is not E.delta.A:
         raise PresentationError("morphism source does not match the projector")
-    entries, X, Y = ([[f.apply(e) for e in row] for row in M]
-                     for M in (E.entries, E.X, E.Y))
+    X, Y = ([[f.apply(e) for e in row] for row in M] for M in (E.X, E.Y))
     rep = Report()
-    shaped = _certify_factorization(rep, X, Y, E.corep.n, entries, fname="f") is not None
+    shaped = _certify_factorization(rep, X, Y, E.corep.n, fname="f")
     _certify_colinearity(rep, X, Y, E.corep, delta2, shaped, fname="f")
-    return entries, rep
+    return (mat_mul(X, Y) if shaped else None), rep
 
 
 class PullbackCertificate:
@@ -323,6 +320,8 @@ def align_blocks(f: Morphism, E: Projector, delta2: Coaction) -> PullbackCertifi
     F = T diag(e',0) T^-1 for T = [[1,0],[d,1]]."""
     target = f.target
     fE, rep = pullback_projector(f, E, delta2)
+    if fE is None:
+        raise ProjectorError("f(E) failed certification (factors of the wrong shapes)", rep)
     n, m = E.corep.n, len(E.a_mu)
     kept, expansions = independent_subset([dict(f.apply(a).terms) for a in E.a_mu],
                                           target.term_key)

@@ -244,10 +244,11 @@ def cmd_pullback(args) -> int:
         payload["e_prime"] = _matrix_strings(cert.e_prime)
         payload["d"] = _matrix_strings(cert.d_block)
         payload["kept"] = cert.kept
-        payload["E"] = _matrix_strings(artifacts["E"].entries)
-        payload["E_prime"] = _matrix_strings(artifacts["E_prime"].entries)
         print("E_PRIME " + json.dumps(payload["e_prime"]))
         print("D " + json.dumps(payload["d"]))
+    if artifacts and args.output:  # E is formed only for the artifact
+        payload["E"] = _matrix_strings(artifacts["E"].entries)
+        payload["E_prime"] = _matrix_strings(artifacts["E_prime"].entries)
         if q0 is not None:
             payload["q"] = str(q0)
             payload["E_at_q"] = _matrix_strings(artifacts["E"].entries, q0)

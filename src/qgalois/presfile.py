@@ -176,7 +176,7 @@ class _ExprParser:
                     self.error(f"{name!r} cannot appear inside a word")
                 word.append(name)
         if not has_coeff and not word:
-            self.error("empty tensor leg")
+            self.error("empty tensor leg" if kind in (None, "tensor") else f"unexpected {val!r}")
         return (coeff if sign > 0 else _t_neg(coeff)), tuple(word)
 
     def scalar_expr(self) -> dict:
@@ -457,10 +457,10 @@ def _build_algebra(ws: Workspace, block, filename: str):
     ws.algebras[name] = alg
     for key, lineno, body in hopf_lines:
         fields, rhs = _split_assign(body, filename, lineno)
-        if key == "coproduct":
-            value = parse_tensor((alg, alg), rhs, filename, lineno)
-        else:
-            value = parse_element(alg, rhs, filename, lineno)
+        if len(fields) != 1 or fields[0] not in gen_names:
+            raise PresentationFileError(f"{key} lines read '{key} g = EXPR'", filename, lineno)
+        value = parse_tensor((alg, alg), rhs, filename, lineno) if key == "coproduct" \
+            else parse_element(alg, rhs, filename, lineno)
         if key == "counit":
             if value.degree() > 0:
                 raise PresentationFileError(f"counit of {fields[0]} must be a scalar",

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from qgalois import presets, structure
+from qgalois import cherngalois, presets, structure
 from qgalois.cherngalois import (Functional, ProjectorError, _tau, align_blocks,
                                  check_sigma_diagram, conjugate, connection_expansion,
                                  cotensor_compare, mat_mul, projector,
@@ -286,17 +286,22 @@ def _identity_pullback(E):
 
 
 def test_entry_off_the_factorization_fails_with_witness(podles, suq2):
-    # g^k g*^k is invariant, so only the factorization can reject the plant
+    # g^k g*^k is invariant, so a Y scaled by it stays anti-colinear and only
+    # the factorization can reject the plant; planted entries are never read
     _, _, _, E = podles
     shift = sum((suq2.word(*["g"] * k, *["g*"] * k) for k in range(1, 7)), suq2.zero())
+    Y = [list(row) for row in E.Y]
+    Y[0][1] = Y[0][1] + shift * Y[0][1]
+    _, rep = _identity_pullback(_planted(E, Y=Y))
+    failed = {c.name: c.detail for c in rep.failures()}
+    assert failed == {"idempotent": "f(Y) f(X) != I_1 at (0, 0): entry "
+                                    "1 + g g g* g* + g g g g* g* g* + "
+                                    "g g g g g* g* g* g* + ... (3 more terms)"}
     entries = [list(row) for row in E.entries]
     entries[0][1] = entries[0][1] + shift
     assert not sweep_idempotent(entries)
     fE, rep = _identity_pullback(_planted(E, entries=entries))
-    failed = {c.name: c.detail for c in rep.failures()}
-    assert failed == {"idempotent": "f(E) != f(X) f(Y) at (0, 1): difference "
-                                    "g g* + g g g* g* + g g g g* g* g* + "
-                                    "g g g g g* g* g* g* + ... (2 more terms)"}
+    assert rep.ok and fE == E.entries != entries
 
 
 def test_factors_with_y_x_not_the_identity_fail_with_witness(podles):
@@ -310,13 +315,15 @@ def test_factors_with_y_x_not_the_identity_fail_with_witness(podles):
         [("idempotent", "f(Y) f(X) != I_1 at (0, 0): entry 2")]
 
 
-def test_non_invariant_entry_fails_with_witness(podles, suq2):
-    _, _, _, E = podles
-    entries = [list(row) for row in E.entries]
-    entries[0][1] = entries[0][1] + suq2.gen("a")
-    _, rep = _identity_pullback(_planted(E, entries=entries))
-    assert rep.checks[0].line() == \
-        "CHECK idempotent FAIL f(E) != f(X) f(Y) at (0, 1): difference a"
+def test_non_invariant_entry_fails_with_witness(suq2):
+    # X = [[q^2 g*], [a*]] for winding -1: a in a row of X leaves E_1j
+    # non-invariant, delta(a) = a (x) u where the row needs a (x) u*
+    _, E = _bundle(-1)
+    X = [list(row) for row in E.X]
+    X[1][0] = X[1][0] + suq2.gen("a")
+    _, rep = _identity_pullback(_planted(E, X=X))
+    assert rep.checks[1].line() == \
+        "CHECK base-invariance FAIL f(X) not colinear at (1, 0): difference a (x) u - a (x) u*"
 
 
 def _pulled_back(n):
@@ -362,6 +369,29 @@ def test_expansion_reassembles_the_connection(kind):
         assert total == ell.ell(c[i, j])
 
 
+@pytest.mark.parametrize("n", [3, -3])
+def test_certificates_form_no_source_matrix(monkeypatch, collapse, regular_u1, u1, n):
+    # the factors are the certificate: over the source algebra only Y X, which
+    # is N x N, is multiplied out until something reads E.entries
+    products = []
+
+    def spy(X, Y):
+        products.append((X[0][0].alg, len(X), len(Y[0])))
+        return mat_mul(X, Y)
+
+    monkeypatch.setattr(cherngalois, "mat_mul", spy)
+    delta, c = presets.fibration_coaction(), presets.u1_corep(n)
+    ell = presets.fibration_connection(3)
+    E = projector(ell, c, Functional.constant_term(delta.A), delta)
+    rep, art = verify_pullback_theorem(collapse, ell, c, Functional.constant_term(u1),
+                                       delta, regular_u1)
+    assert rep.ok and E.size == art["E"].size > 1
+    assert {(M, K) for alg, M, K in products if alg is delta.A} == {(1, 1)}
+    assert "entries" not in vars(E) and "entries" not in vars(art["E"])
+    assert art["E"].entries == E.entries
+    assert products[-2:] == [(delta.A, E.size, E.size)] * 2
+
+
 def test_non_colinear_x_entry_fails_base_invariance_with_witness(suq2):
     # X = [[q^2 g*], [a*]] for winding -1: delta(a) = a (x) u, not a (x) u*
     _, E = _bundle(-1)
@@ -389,6 +419,16 @@ def test_misshapen_factors_fail_both_lines_without_a_product(podles):
         "CHECK idempotent FAIL f(E) is 2x2, f(X) is 2x2, f(Y) is 1x2; "
         "need MxM, MxN, NxM with M >= 1 and N = dim c = 1",
         "CHECK base-invariance FAIL not derived: f(X) and f(Y) have the wrong shapes"]
+
+
+def test_misshapen_factors_have_no_block_form(podles, suq2):
+    # with no f(E) to conjugate, align_blocks raises with the failing report
+    _, _, _, E = podles
+    ident = Morphism.identity(suq2)
+    ident.verify()
+    with pytest.raises(ProjectorError) as exc:
+        align_blocks(ident, _planted(E, X=[row * 2 for row in E.X]), E.delta)
+    assert [c.name for c in exc.value.report.failures()] == ["idempotent", "base-invariance"]
 
 
 def test_corep_without_antipode_identity_fails_base_invariance(fibration, suq2, u1):

@@ -1,13 +1,13 @@
-"""Golden outputs: the stdout and exit code of twenty CLI commands, and the
+"""Golden outputs: the stdout and exit code of twenty-two CLI commands, and the
 JSON artifact that `--output` writes for three more, compared byte for byte
 with the files under tests/golden/.
 
 The commands cover `verify` on every preset, `projector` on the Podleś line
 bundles (symbolic and at rational q) and on the trivial base with each
-corepresentation, and `pullback` on the Podleś line bundles.  A speed-up that
-keeps these files unchanged keeps every CHECK line, matrix and trace the same;
-the artifacts also pin the JSON `matrix`, `matrix_at_q`, `labels` and report
-fields that stdout does not print.
+corepresentation, and `pullback` on the Podleś line bundles up to winding
+±8.  A speed-up that keeps these files unchanged keeps every CHECK line, matrix
+and trace the same; the artifacts also pin the JSON `matrix`, `matrix_at_q`,
+`labels` and report fields that stdout does not print.
 
 Regenerate the files, only after an intended change of output, with
 
@@ -47,6 +47,8 @@ COMMANDS = {
     "pullback-podles-line--1": ["pullback", "--preset", "podles-line", "-1"],
     "pullback-podles-line-2": ["pullback", "--preset", "podles-line", "2"],
     "pullback-podles-line--2": ["pullback", "--preset", "podles-line", "-2"],
+    "pullback-podles-line-8": ["pullback", "--preset", "podles-line", "8"],
+    "pullback-podles-line--8": ["pullback", "--preset", "podles-line", "-8"],
     "projector-podles-line-2-q-2": ["projector", "--preset", "podles-line", "2", "--q", "2"],
     "projector-podles-line--2-q-1_3": ["projector", "--preset", "podles-line", "-2",
                                        "--q", "1/3"],

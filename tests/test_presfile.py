@@ -122,6 +122,46 @@ def test_empty_tensor_leg_rejected(suq2, u1, text):
         parse_expression(text, legs)
 
 
+@pytest.mark.parametrize("text, token", [(") a", ")"), ("* a", "*"), ("^ 2", "^"),
+                                         ("/ 2", "/"), ("a (x) ) u", ")"),
+                                         ("a + * g", "*")])
+def test_stray_token_opening_a_leg_is_named(suq2, u1, text, token):
+    legs = [suq2, u1] if "(x)" in text else [suq2]
+    with pytest.raises(PresentationFileError) as exc:
+        parse_expression(text, legs)
+    assert str(exc.value) == f"<string>:0: unexpected {token!r}"
+
+
+_Z_HOPF = """algebra z
+generators z z*
+star z z*
+rel z z* = 1
+rel z* z = 1
+coproduct z = z (x) z
+coproduct z* = z* (x) z*
+counit z = 1
+counit z* = 1
+antipode z = z*
+antipode z* = z
+antipode_inv z = z*
+antipode_inv z* = z
+"""
+
+
+@pytest.mark.parametrize("line", ["coproduct z junk = z (x) z", "coproduct zz = z (x) z",
+                                  "counit z junk = 1", "counit zz = 1",
+                                  "antipode z junk = z*", "antipode zz = z*",
+                                  "antipode_inv z junk = z*", "antipode_inv zz = z*"])
+def test_hopf_table_line_names_one_generator(line):
+    # each line used to load: `z junk` as a second value for z, `zz` as a
+    # table key for a generator that does not exist
+    assert parse_workspace(_Z_HOPF).algebras["z"].hopf is not None
+    key = line.split()[0]
+    with pytest.raises(PresentationFileError) as exc:
+        parse_workspace(_Z_HOPF + line + "\n", filename="z.alg")
+    assert str(exc.value) == f"z.alg:14: {key} lines read '{key} g = EXPR'"
+
+
 def test_table_line_needs_a_name():
     # an empty left side used to escape as an IndexError
     src = "algebra z\ngenerators z z*\nstar z z*\nrel z z* = 1\nrel z* z = 1\ncounit = 1\n"
