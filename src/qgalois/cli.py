@@ -4,6 +4,10 @@ artifacts, and rendering of stored reports.
 `qgalois COMMAND [OPTIONS]` takes the options that COMMANDS lists for the
 command under their exact names, as `--opt value` or `--opt=value` (USAGE).
 
+`verify` and `projector` read one `Workspace`, the `--input` file's or else the
+`--preset`'s (`presets.preset_workspace`).  `pullback --input` picks from it by
+the same rule, `Workspace.pick`; `pullback --preset` keeps its own recipe.
+
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 input error.
 """
 
@@ -17,7 +21,7 @@ from types import SimpleNamespace
 from . import presets
 from .cherngalois import (Functional, ProjectorError, projector, trace_rank,
                           verify_pullback_theorem)
-from .comodule import contragredient, verify_coaction
+from .comodule import verify_coaction
 from .connection import CoverageError, check_strong_connection
 from .ncalg import NCPoly, Presentation, PresentationError, format_terms
 from .presfile import PresentationFileError, parse_workspace
@@ -25,7 +29,7 @@ from .report import Report
 from .scalars import PoleError, qrat
 from .structure import verify_hopf_axioms
 
-PRESET_NAMES = ("suq2", "u1", "podles-line", "trivial-base")
+PRESET_NAMES = tuple(presets.PRESET_ALGEBRAS)
 
 
 class InputError(Exception):
@@ -102,40 +106,32 @@ def _verify_algebra(alg: Presentation) -> Report:
     return rep
 
 
-def cmd_verify(args) -> int:
-    rep = Report()
+def _workspace(args):
+    """The --input file's workspace, or else the --preset's (and its --corep)."""
     if args.input:
         with open(args.input, encoding="utf-8") as fh:
-            ws = parse_workspace(fh.read(), filename=args.input)
-        if not (ws.algebras or ws.coactions or ws.morphisms or ws.connections):
-            raise InputError(f"{args.input} declares nothing to verify")
-        for alg in ws.algebras.values():
-            rep.extend(_verify_algebra(alg))
-        for name, delta in ws.coactions.items():
-            rep.extend(verify_coaction(delta), prefix=f"{name}/")
-        for name, m in ws.morphisms.items():
-            rep.extend(m.verify(), prefix=f"{name}/")
-        for name, ell in ws.connections.items():
-            rep.extend(check_strong_connection(ell, ell.coaction), prefix=f"{name}/")
-    else:
-        name, n = _parse_preset(args.preset)
-        if name == "suq2":
-            rep.extend(_verify_algebra(presets.suq2()))
-        elif name == "u1":
-            rep.extend(_verify_algebra(presets.u1()))
-        elif name == "podles-line":
-            rep.extend(_verify_algebra(presets.suq2()))
-            rep.extend(_verify_algebra(presets.u1()))
-            delta = presets.fibration_coaction()
-            rep.extend(verify_coaction(delta), prefix="fibration/")
-            ell = presets.u1_power_connection(n)
-            rep.extend(check_strong_connection(ell, delta), prefix=f"line-{n}/")
-        else:  # trivial-base
-            rep.extend(_verify_algebra(presets.suq2()))
-            delta = presets.regular_suq2_coaction()
-            rep.extend(verify_coaction(delta), prefix="regular/")
-            ell = presets.trivial_connection_suq2()
-            rep.extend(check_strong_connection(ell, delta), prefix="trivial-connection/")
+            return parse_workspace(fh.read(), filename=args.input)
+    if not args.preset:
+        raise InputError(f"{args.command} needs --preset or --input")
+    name, n = _parse_preset(args.preset)
+    corep = getattr(args, "corep", None)
+    return presets.preset_workspace(name, n, corep) if corep else \
+        presets.preset_workspace(name, n)
+
+
+def cmd_verify(args) -> int:
+    ws = _workspace(args)
+    if not (ws.algebras or ws.coactions or ws.morphisms or ws.connections):
+        raise InputError(f"{args.input} declares nothing to verify")
+    rep = Report()
+    for alg in ws.algebras.values():
+        rep.extend(_verify_algebra(alg))
+    for name, delta in ws.coactions.items():
+        rep.extend(verify_coaction(delta), prefix=f"{name}/")
+    for name, m in ws.morphisms.items():
+        rep.extend(m.verify(), prefix=f"{name}/")
+    for name, ell in ws.connections.items():
+        rep.extend(check_strong_connection(ell, ell.coaction), prefix=f"{name}/")
     _emit(rep)
     if args.output:
         _write_artifact(args.output, {"command": "verify", "report": rep.to_dict()})
@@ -145,31 +141,21 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # projector
 
-def _build_projector(args):
-    name, n = _parse_preset(args.preset)
-    if name == "podles-line":
-        delta = presets.fibration_coaction()
-        ell = presets.u1_power_connection(n)
-        corep = presets.u1_corep(n)
-    elif name == "trivial-base":
-        delta = presets.regular_suq2_coaction()
-        ell = presets.trivial_connection_suq2()
-        if args.corep == "u":
-            corep = presets.fundamental_corep()
-        elif args.corep == "u-dual":
-            corep = contragredient(presets.fundamental_corep())
-        elif args.corep == "trivial":
-            corep = presets.trivial_corep(presets.suq2())
-        else:
-            raise InputError(f"unknown corep {args.corep!r} (u, u-dual, trivial)")
-    else:
-        raise InputError("projector supports presets podles-line N and trivial-base")
+def _build_projector(args, q0):
+    ws = _workspace(args)
+    if not (args.input or ws.connections):
+        raise InputError(f"projector needs a connection, and preset {args.preset[0]} has none")
+    ell = ws.pick(ws.connections, None, "connection")
+    corep = ws.pick(ws.coreps, args.corep if args.input else None, "corepresentation")
+    delta = ell.coaction
+    if q0 is not None and delta.A.hopf is None:
+        raise InputError(f"--q {args.q} needs Hopf data on the total algebra {delta.A.name}")
     return projector(ell, corep, Functional.constant_term(delta.A), delta)
 
 
 def cmd_projector(args) -> int:
     q0 = _parse_q(args.q)
-    E = _build_projector(args)
+    E = _build_projector(args, q0)
     rep = Report()
     rep.extend(E.report)
     _emit(rep)
@@ -205,14 +191,10 @@ def cmd_projector(args) -> int:
 
 def _resolve_pullback_inputs(args):
     if args.input:
-        with open(args.input, encoding="utf-8") as fh:
-            ws = parse_workspace(fh.read(), filename=args.input)
-        f = ws.morphisms[args.morphism] if args.morphism else ws.only(
-            ws.morphisms, "morphism")
-        ell = ws.connections[args.connection] if args.connection else ws.only(
-            ws.connections, "connection")
-        corep = ws.coreps[args.corep_name] if args.corep_name else ws.only(
-            ws.coreps, "corepresentation")
+        ws = _workspace(args)
+        f = ws.pick(ws.morphisms, args.morphism, "morphism")
+        ell = ws.pick(ws.connections, args.connection, "connection")
+        corep = ws.pick(ws.coreps, args.corep, "corepresentation")
         delta = ell.coaction
         candidates = [c for c in ws.coactions.values()
                       if c.A is f.target and c.H is delta.H]
@@ -221,7 +203,9 @@ def _resolve_pullback_inputs(args):
         delta2 = candidates[0]
         f.verify()
         return f, ell, corep, delta, delta2
-    name, n = _parse_preset(args.preset)
+    # not preset_workspace: the collapse morphism, and a connection that covers
+    # every winding up to |n| for the sigma-diagram check
+    name, n = _parse_preset(args.preset or ["podles-line", "1"])
     if name != "podles-line":
         raise InputError("pullback supports --preset podles-line N or --input FILE")
     f = presets.collapse_morphism()
@@ -306,22 +290,24 @@ _COMMON = {"--preset": list, "--input": str, "--output": str}
 COMMANDS = {
     "verify": {**_COMMON, "--max-degree": int},
     "projector": {**_COMMON, "--corep": str, "--q": str},
-    "pullback": {**_COMMON, "--morphism": str, "--connection": str, "--corep-name": str,
+    "pullback": {**_COMMON, "--morphism": str, "--connection": str, "--corep": str,
                  "--q": str},
     "report": {"--input": str},
 }
-DEFAULTS = {"--corep": "u", "--q": "symbolic"}
+DEFAULTS = {"--q": "symbolic"}
 
 USAGE = """usage: qgalois {verify,projector,pullback,report} [OPTIONS]
 
-  verify     --preset NAME | --input PATH  [--output PATH] [--max-degree N]
-  projector  --preset NAME  [--corep u|u-dual|trivial] [--q SPEC] [--output PATH]
+  verify     --preset PRESET | --input PATH  [--output PATH] [--max-degree N]
+  projector  --preset PRESET | --input PATH  [--corep NAME] [--q SPEC] [--output PATH]
   pullback   [--preset podles-line N | --input PATH [--morphism NAME]
-             [--connection NAME] [--corep-name NAME]] [--q SPEC] [--output PATH]
+             [--connection NAME] [--corep NAME]] [--q SPEC] [--output PATH]
   report     --input ARTIFACT.json
 
-NAME is suq2 | u1 | podles-line N | trivial-base; SPEC is symbolic (default)
-or a rational like 1 or 3/7.  Options take exact names, also as --opt=value.
+PRESET is suq2 | u1 | podles-line N | trivial-base.  --corep NAME picks the
+file's corepresentation, or trivial-base's: u (default), u-dual or trivial.
+SPEC is symbolic (default) or a rational like 1 or 3/7.  Options take exact
+names, also as --opt=value.
 """
 
 
@@ -365,19 +351,8 @@ def parse_args(argv) -> SimpleNamespace:
 def main(argv=None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
-        if args.command == "verify":
-            if not args.input and not args.preset:
-                raise InputError("verify needs --preset or --input")
-            return cmd_verify(args)
-        if args.command == "projector":
-            if not args.preset:
-                raise InputError("projector needs --preset")
-            return cmd_projector(args)
-        if args.command == "pullback":
-            if not args.preset and not args.input:
-                args.preset = ["podles-line", "1"]
-            return cmd_pullback(args)
-        return cmd_report(args)
+        return {"verify": cmd_verify, "projector": cmd_projector, "pullback": cmd_pullback,
+                "report": cmd_report}[args.command](args)
     except ProjectorError as exc:
         if exc.report is not None:
             _emit(exc.report)

@@ -324,7 +324,10 @@ def chi_collapse(x: JoinElement, chi: Character, t0=Fraction(1, 2)) -> NCPoly:
 
 
 def chi_equivariance(x: JoinElement, chi: Character, t0=Fraction(1, 2)) -> bool:
-    """Delta o f_chi = (f_chi (x) id) o delta_join on the given element."""
+    """Delta o f_chi = (f_chi (x) id) o delta_join on the given element.  Not a
+    certificate: chi acts on the A-leg and Delta on the H-leg, so this is an
+    identity of the polynomial model, true of every character and element,
+    join member or not (x + t a (x) g, which fails boundary-one, passes)."""
     H = x.delta.H
     lhs = structure.coproduct(chi_collapse(x, chi, t0))
     co = join_coaction(x)

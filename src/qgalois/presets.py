@@ -1,17 +1,18 @@
 """Embedded presets: the q-deformed SU(2) presentation with its Hopf data, the
 circle Hopf algebra, the weight coaction of the circle on SU_q(2) (the quantum
 Hopf fibration over the Podles sphere), the fundamental corepresentation, the
-collapse morphism onto the circle, and the stock strong connections.
+collapse morphism onto the circle, the stock strong connections, and each CLI
+preset as a `Workspace`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .comodule import Coaction, Corepresentation, regular_coaction
+from .comodule import Coaction, Corepresentation, contragredient, regular_coaction
 from .connection import CoalgebraSpan, StrongConnection
 from .linalg import add_scaled
-from .ncalg import NCPoly, Presentation
+from .ncalg import NCPoly, Presentation, PresentationError
 from .presfile import Workspace, parse_workspace
 from .scalars import QRat, q_power
 from .structure import Morphism
@@ -221,3 +222,29 @@ def fibration_connection(max_abs: int) -> StrongConnection:
     delta = fibration_coaction()
     span = CoalgebraSpan(u1(), [e for e, _ in pairs])
     return StrongConnection.from_table(span, delta, pairs, name=f"u1-fibration-{max_abs}")
+
+
+PRESET_ALGEBRAS = {"suq2": ["suq2"], "u1": ["u1"], "podles-line": ["suq2", "u1"],
+                    "trivial-base": ["suq2"]}
+
+
+def preset_workspace(name: str, n: int | None = None, corep: str = "u") -> Workspace:
+    """A CLI preset's objects, keyed by the prefixes its checks print: its
+    algebras; for podles-line n the coaction fibration, the connection line-n
+    and the corep u^n; for trivial-base the coaction regular, the connection
+    trivial-connection and the corep named corep (u, u-dual or trivial)."""
+    ws = Workspace()
+    ws.algebras.update((a, workspace().algebras[a]) for a in PRESET_ALGEBRAS[name])
+    if name == "podles-line":
+        ws.coactions["fibration"] = fibration_coaction()
+        ws.connections[f"line-{n}"] = u1_power_connection(n)
+        ws.coreps[f"u^{n}"] = u1_corep(n)
+    elif name == "trivial-base":
+        ws.coactions["regular"] = regular_suq2_coaction()
+        ws.connections["trivial-connection"] = trivial_connection_suq2()
+        build = {"u": fundamental_corep, "u-dual": lambda: contragredient(fundamental_corep()),
+                 "trivial": lambda: trivial_corep(suq2())}.get(corep)
+        if build is None:
+            raise PresentationError(f"unknown corep {corep!r} (u, u-dual, trivial)")
+        ws.coreps[corep] = build()
+    return ws

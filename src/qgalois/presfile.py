@@ -329,11 +329,13 @@ class Workspace:
         self.connections: dict[str, StrongConnection] = {}
         self.morphisms: dict[str, Morphism] = {}
 
-    def only(self, table: dict, what: str):
-        if len(table) != 1:
-            raise PresentationError(
-                f"expected exactly one {what}, found {sorted(table)}")
-        return next(iter(table.values()))
+    def pick(self, table: dict, name, what: str):
+        """The entry of table called name, or its only entry when name is None."""
+        if name is None and len(table) != 1:
+            raise PresentationError(f"expected exactly one {what}, found {sorted(table)}")
+        if name is not None and name not in table:
+            raise PresentationError(f"no {what} named {name!r}, found {sorted(table)}")
+        return table[name] if name is not None else next(iter(table.values()))
 
 
 def parse_workspace(text: str, filename: str = "<string>") -> Workspace:
@@ -378,11 +380,19 @@ def _header_fields(block, filename: str, usage: str) -> list[str]:
     return parts
 
 
-def _split_assign(text: str, filename: str, line: int):
+def _generator_line(table: dict, alg: Presentation, kind: str, word: str, text: str,
+                    filename: str, line: int):
+    """(g, EXPR) of a line 'WORD g = EXPR' read into table: g must be a
+    generator of alg that no earlier line of table named."""
     left, eq, right = text.partition("=")
-    if not eq or not left.split():
+    fields = left.split()
+    if not eq or fields in ([], [word]):
         raise PresentationFileError("expected 'NAME = EXPR' in table line", filename, line)
-    return left.split(), right.strip()
+    if fields[0] != word or len(fields) != 2 or fields[1] not in alg._by_name:
+        raise PresentationFileError(f"{kind} lines read '{word} g = EXPR'", filename, line)
+    if fields[1] in table:
+        raise PresentationFileError(f"second {word} line for {fields[1]}", filename, line)
+    return fields[1], right.strip()
 
 
 def _build_algebra(ws: Workspace, block, filename: str):
@@ -423,7 +433,7 @@ def _build_algebra(ws: Workspace, block, filename: str):
         elif key == "rel":
             rels.append((lineno, text[len("rel"):].strip()))
         elif key in tables:
-            hopf_lines.append((key, lineno, text[len(key):].strip()))
+            hopf_lines.append((key, lineno, text))
         else:
             raise PresentationFileError(f"unknown algebra line {key!r}", filename, lineno)
     if not gen_names:
@@ -455,18 +465,15 @@ def _build_algebra(ws: Workspace, block, filename: str):
         rules.append((lw, {w: c * inv for w, c in rhs.terms.items()}))
     alg = Presentation(name, gens, rules, reduction_precedence=red_order)
     ws.algebras[name] = alg
-    for key, lineno, body in hopf_lines:
-        fields, rhs = _split_assign(body, filename, lineno)
-        if len(fields) != 1 or fields[0] not in gen_names:
-            raise PresentationFileError(f"{key} lines read '{key} g = EXPR'", filename, lineno)
+    for key, lineno, text in hopf_lines:
+        g, rhs = _generator_line(tables[key], alg, key, key, text, filename, lineno)
         value = parse_tensor((alg, alg), rhs, filename, lineno) if key == "coproduct" \
             else parse_element(alg, rhs, filename, lineno)
         if key == "counit":
             if value.degree() > 0:
-                raise PresentationFileError(f"counit of {fields[0]} must be a scalar",
-                                            filename, lineno)
+                raise PresentationFileError(f"counit of {g} must be a scalar", filename, lineno)
             value = value.constant_term()
-        tables[key][fields[0]] = value
+        tables[key][g] = value
     if hopf_lines:
         attach_hopf(alg, *tables.values())
 
@@ -484,11 +491,8 @@ def _build_coaction(ws: Workspace, block, filename: str):
     H = ws.algebras[struct]
     table = {}
     for lineno, text in block["body"]:
-        fields, rhs = _split_assign(text, filename, lineno)
-        if fields[0] != "delta" or len(fields) != 2:
-            raise PresentationFileError("coaction lines read 'delta g = EXPR'",
-                                        filename, lineno)
-        table[fields[1]] = parse_tensor((A, H), rhs, filename, lineno)
+        g, rhs = _generator_line(table, A, "coaction", "delta", text, filename, lineno)
+        table[g] = parse_tensor((A, H), rhs, filename, lineno)
     ws.coactions[name] = Coaction(name, A, H, table)
 
 
@@ -558,11 +562,8 @@ def _build_morphism(ws: Workspace, block, filename: str):
     source, target = ws.algebras[src], ws.algebras[dst]
     images = {}
     for lineno, text in block["body"]:
-        fields, rhs = _split_assign(text, filename, lineno)
-        if fields[0] != "f" or len(fields) != 2:
-            raise PresentationFileError("morphism lines read 'f g = EXPR'",
-                                        filename, lineno)
-        images[fields[1]] = parse_element(target, rhs, filename, lineno)
+        g, rhs = _generator_line(images, source, "morphism", "f", text, filename, lineno)
+        images[g] = parse_element(target, rhs, filename, lineno)
     ws.morphisms[name] = Morphism(source, target, images, name=name)
 
 

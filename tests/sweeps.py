@@ -42,7 +42,8 @@ its own loops: the oracle for the `block-idempotent`, `block-absorption` and
 f(E)^2 = f(E) and the block form.
 
 `reference_parser` is the argparse command line that `qgalois.cli` used
-before its option table: the oracle for `cli.parse_args`.
+before its option table, with pullback's `--corep-name` since renamed
+`--corep` and no `--corep` default: the oracle for `cli.parse_args`.
 
 `reference_parse_expression` splits a token list into signed terms, the terms
 into tensor legs at `(x)` and each leg into coefficient and word by token
@@ -290,12 +291,12 @@ def reference_parser() -> argparse.ArgumentParser:
                     help="accepted and not read; every certificate holds in all degrees")
     pp = sub.add_parser("projector", help="compute an associated-bundle idempotent")
     common(pp)
-    pp.add_argument("--corep", default="u", help="u | u-dual | trivial")
+    pp.add_argument("--corep", default=None, help="NAME | u | u-dual | trivial")
     pb = sub.add_parser("pullback", help="verify the pullback mechanism end to end")
     common(pb)
     pb.add_argument("--morphism", default=None)
     pb.add_argument("--connection", default=None)
-    pb.add_argument("--corep-name", default=None)
+    pb.add_argument("--corep", default=None)
     for p in (pp, pb):
         p.add_argument("--q", default="symbolic", metavar="SPEC",
                        help="symbolic or a rational value like 1 or 3/7")

@@ -13,6 +13,7 @@ from qgalois import presets
 from qgalois.cli import COMMANDS, console_main, main, parse_args
 
 from sweeps import reference_parser
+from test_cherngalois import TORUS_SOURCE
 
 
 def run(capsys, *argv):
@@ -243,6 +244,94 @@ row u
     assert code == 0
 
 
+# the README's u1 presentation file, which the CI's console-script step writes
+U1_FILE = presets.U1_SOURCE + """
+coaction reg : u1 -> u1 (x) u1
+delta u = u (x) u
+delta u* = u* (x) u*
+corep line dim 1 over u1
+row u
+connection triv on reg
+L 1 = 1 (x) 1
+L u = u* (x) u
+"""
+TWO_CONNECTIONS = U1_FILE + "connection other on reg\nL 1 = 1 (x) 1\nL u = u* (x) u\n"
+IDENTITY = "morphism id : u1 -> u1\nf u = u\nf u* = u*\n"
+
+
+@pytest.mark.parametrize("source, argv, lines", [
+    pytest.param(U1_FILE, [], ["TRACE 1"], id="u1"),
+    pytest.param(U1_FILE, ["--q", "1"], ["TRACE 1", "RANK 1"], id="u1-q-1"),
+    pytest.param(U1_FILE, ["--corep", "line"], ["TRACE 1"], id="u1-corep"),
+    # dim c = 2 and U != I: E is 4 x 4 with off-diagonal entries v y*, v* y
+    pytest.param(TORUS_SOURCE, [], ["TRACE 2", "BASIS v* | y*"], id="torus"),
+])
+def test_projector_reads_a_presentation_file(capsys, tmp_path, source, argv, lines):
+    f = tmp_path / "bundle.alg"
+    f.write_text(source)
+    code, out, err = run(capsys, "projector", "--input", str(f), *argv)
+    assert (code, err) == (0, "")
+    assert "CHECK idempotent PASS E = X Y with Y X = I_" in out
+    assert set(lines) <= set(out.splitlines())
+
+
+@pytest.mark.parametrize("source, argv, message", [
+    pytest.param(TWO_CONNECTIONS, [], "expected exactly one connection, found ['other', 'triv']",
+                 id="two-connections"),
+    pytest.param(U1_FILE, ["--corep", "nope"], "no corepresentation named 'nope', found ['line']",
+                 id="unknown-corep"),
+    # t2 carries no Hopf data, so the counit behind RANK is missing; nothing prints
+    pytest.param(TORUS_SOURCE, ["--q", "1"], "--q 1 needs Hopf data on the total algebra t2",
+                 id="q-without-hopf"),
+    pytest.param(None, ["--preset", "suq2"], "projector needs a connection, and preset suq2 "
+                 "has none", id="preset-suq2"),
+    pytest.param(None, ["--preset", "u1"], "projector needs a connection, and preset u1 "
+                 "has none", id="preset-u1"),
+    pytest.param(None, ["--preset", "trivial-base", "--corep", "x"],
+                 "unknown corep 'x' (u, u-dual, trivial)", id="preset-unknown-corep"),
+    pytest.param(None, [], "projector needs --preset or --input", id="no-input"),
+])
+def test_projector_input_errors(capsys, tmp_path, source, argv, message):
+    if source is not None:
+        f = tmp_path / "bundle.alg"
+        f.write_text(source)
+        argv = ["--input", str(f), *argv]
+    code, out, err = run(capsys, "projector", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    pytest.param([], 0, "", id="only-corep"),
+    pytest.param(["--corep", "line"], 0, "", id="named-corep"),
+    pytest.param(["--corep", "nope"], 2, "error: no corepresentation named 'nope', "
+                 "found ['line']\n", id="unknown-corep"),
+])
+def test_pullback_corep_picks_the_corepresentation(capsys, tmp_path, argv, code, err):
+    f = tmp_path / "identity.alg"
+    f.write_text(U1_FILE + IDENTITY)
+    assert run(capsys, "pullback", "--input", str(f), *argv)[::2] == (code, err)
+
+
+@pytest.mark.parametrize("name, n, corep, keys", [
+    ("suq2", None, "u", [["suq2"], [], [], []]),
+    ("u1", None, "u", [["u1"], [], [], []]),
+    ("podles-line", 1, "u", [["suq2", "u1"], ["fibration"], ["line-1"], ["u^1"]]),
+    ("podles-line", -2, "u", [["suq2", "u1"], ["fibration"], ["line--2"], ["u^-2"]]),
+    ("trivial-base", None, "u", [["suq2"], ["regular"], ["trivial-connection"], ["u"]]),
+    ("trivial-base", None, "u-dual",
+     [["suq2"], ["regular"], ["trivial-connection"], ["u-dual"]]),
+    ("trivial-base", None, "trivial",
+     [["suq2"], ["regular"], ["trivial-connection"], ["trivial"]]),
+])
+def test_preset_workspace_keys(name, n, corep, keys):
+    # the keys are the prefixes that the goldens of verify --preset print
+    ws = presets.preset_workspace(name, n, corep)
+    assert [list(t) for t in (ws.algebras, ws.coactions, ws.connections, ws.coreps)] == keys
+    assert ws.morphisms == {}
+    assert presets.preset_workspace(name, n).coreps.keys() == (
+        {"u"} if name == "trivial-base" else ws.coreps.keys())
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param(["pullback", "--preset", "podles-line", "1", "--max-degree", "3"],
                  id="pullback"),
@@ -331,8 +420,7 @@ def test_parser_agrees_with_argparse(data):
     unknown options, stray tokens and values such as -1, x and 1/3.
 
     Deliberate differences, not drawn: abbreviations (argparse reads `--max`
-    as `--max-degree`, and `--corep` of pullback as `--corep-name`); the
-    `-h`/`--help` text; values that argparse takes for flags because they
+    as `--max-degree`); the `-h`/`--help` text; values that argparse takes for flags because they
     start with a dash and are no negative number (`--q -1/3`, `--output -x`),
     which parse_args takes as values; and argparse's `--` end-of-options
     marker.  `--preset=podles-line 1` is no difference: both refuse the

@@ -113,6 +113,17 @@ def test_chi_equivariance(reg, suq2, path_alpha):
         assert chi_equivariance(x, chi)
 
 
+def test_chi_equivariance_holds_off_the_join(reg, suq2, path_alpha):
+    # chi acts on the A-leg and Delta on the H-leg, so the identity holds for
+    # every element: here one that fails boundary-one, under two characters
+    x = path_alpha + parse_join_element(reg, "t a (x) g")
+    assert [c.name for c in join_membership(x, 2).checks if not c.passed] == ["boundary-one"]
+    minus = Character(suq2, {"a": QRat(-1), "a*": QRat(-1), "g": QRat(0), "g*": QRat(0)})
+    assert minus.verify().ok
+    assert chi_equivariance(x, counit_character(suq2))
+    assert chi_equivariance(x, minus)
+
+
 def test_character_verification(suq2):
     chi = counit_character(suq2)
     assert chi.verify().ok

@@ -148,18 +148,35 @@ antipode_inv z* = z
 """
 
 
-@pytest.mark.parametrize("line", ["coproduct z junk = z (x) z", "coproduct zz = z (x) z",
-                                  "counit z junk = 1", "counit zz = 1",
-                                  "antipode z junk = z*", "antipode zz = z*",
-                                  "antipode_inv z junk = z*", "antipode_inv zz = z*"])
-def test_hopf_table_line_names_one_generator(line):
+_COACTION = "coaction d : z -> z (x) z\ndelta z = z (x) z\ndelta z* = z* (x) z*\n"
+_MORPHISM = "morphism m : z -> z\nf z = z\nf z* = z*\n"
+
+
+@pytest.mark.parametrize("line, message", [
+    *(pytest.param(line, "{key} lines read '{key} g = EXPR'", id=line) for line in [
+        "coproduct z junk = z (x) z", "coproduct zz = z (x) z",
+        "counit z junk = 1", "counit zz = 1",
+        "antipode z junk = z*", "antipode zz = z*",
+        "antipode_inv z junk = z*", "antipode_inv zz = z*"]),
+    *(pytest.param(line, "second {key} line for z", id=f"second {line}") for line in [
+        "coproduct z = z (x) z", "counit z = 1", "antipode z = z*", "antipode_inv z = z*"]),
+    pytest.param(_COACTION + "delta zz = z (x) z", "coaction lines read 'delta g = EXPR'",
+                 id="delta zz = z (x) z"),
+    pytest.param(_COACTION + "delta z = z (x) z", "second delta line for z",
+                 id="second delta z = z (x) z"),
+    pytest.param(_MORPHISM + "f zz = z", "morphism lines read 'f g = EXPR'", id="f zz = z"),
+    pytest.param(_MORPHISM + "f z = z*", "second f line for z", id="second f z = z*"),
+])
+def test_hopf_table_line_names_one_generator(line, message):
     # each line used to load: `z junk` as a second value for z, `zz` as a
-    # table key for a generator that does not exist
+    # table key for a generator that does not exist, a second line for z as
+    # a replacement of the first
     assert parse_workspace(_Z_HOPF).algebras["z"].hopf is not None
-    key = line.split()[0]
+    assert parse_workspace(_Z_HOPF + _COACTION + _MORPHISM).morphisms["m"].verify().ok
+    key = line.splitlines()[-1].split()[0]
     with pytest.raises(PresentationFileError) as exc:
         parse_workspace(_Z_HOPF + line + "\n", filename="z.alg")
-    assert str(exc.value) == f"z.alg:14: {key} lines read '{key} g = EXPR'"
+    assert str(exc.value) == f"z.alg:{14 + line.count(chr(10))}: " + message.format(key=key)
 
 
 def test_table_line_needs_a_name():
