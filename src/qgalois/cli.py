@@ -8,12 +8,14 @@ command under their exact names, as `--opt value` or `--opt=value` (USAGE).
 `--preset`'s (`presets.preset_workspace`).  `pullback --input` picks from it by
 the same rule, `Workspace.pick`; `pullback --preset` keeps its own recipe.
 
-Exit codes: 0 all checks pass, 1 at least one check fails, 2 input error.
+Exit codes: 0 all checks pass, 1 at least one check fails, 2 input error,
+141 (128 + SIGPIPE) stdout closed before the output was written.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
@@ -244,6 +246,30 @@ def cmd_pullback(args) -> int:
 # ---------------------------------------------------------------------------
 # report rendering
 
+MATRIX_FIELDS = ("matrix", "matrix_at_q", "e_prime", "d", "E", "E_prime", "E_at_q")
+
+
+def _malformed(payload):
+    """The first field of an artifact that `report` cannot render, or None."""
+    if not isinstance(payload, dict):
+        return "the artifact is not an object"
+    checks = payload["report"].get("checks") if isinstance(payload["report"], dict) else None
+    if not isinstance(checks, list):
+        return "report.checks is not a list"
+    for i, check in enumerate(checks):
+        if not isinstance(check, dict):
+            return f"report.checks[{i}] is not an object"
+        for key, kind, noun in (("name", str, "string"), ("passed", bool, "boolean")):
+            if not isinstance(check.get(key), kind):
+                return f"report.checks[{i}].{key} is not a {noun}"
+    for key in MATRIX_FIELDS:
+        rows = payload.get(key, [])
+        if not (isinstance(rows, list) and all(
+                isinstance(row, list) and all(isinstance(e, str) for e in row) for row in rows)):
+            return f"{key} is not a list of lists of strings"
+    return None
+
+
 def cmd_report(args) -> int:
     if not args.input:
         raise InputError("report needs --input ARTIFACT.json")
@@ -254,33 +280,34 @@ def cmd_report(args) -> int:
         raise InputError(f"no artifact at {args.input}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"artifact is not valid JSON: {exc}") from None
-    if "report" not in payload:
+    if isinstance(payload, dict) and "report" not in payload:
         raise InputError("artifact carries no report")
+    bad = _malformed(payload)
+    if bad:
+        raise InputError(f"artifact report is malformed: {bad}")
+    checks = payload["report"]["checks"]
     print(f"artifact: {payload.get('command', 'unknown')}")
-    ok = True
-    for check in payload["report"]["checks"]:
-        status = "PASS" if check["passed"] else "FAIL"
-        ok = ok and check["passed"]
-        line = f"  {status}  {check['name']}"
+    for check in checks:
+        line = f"  {'PASS' if check['passed'] else 'FAIL'}  {check['name']}"
         if check.get("tag"):
             line += f"  [{check['tag']}]"
         if check.get("detail"):
             line += f"  -- {check['detail']}"
         print(line)
-    for key in ("matrix", "matrix_at_q", "e_prime", "d", "E", "E_prime", "E_at_q"):
+    for key in MATRIX_FIELDS:
         if key in payload:
             print(f"{key}:")
             for row in payload[key]:
                 print("  [" + ", ".join(row) + "]")
     if "trace" in payload:
         print(f"trace: {payload['trace']}")
-    if ok:
+    failed = [c for c in checks if not c["passed"]]
+    if not failed:
         print("all checks pass")
-    else:
-        first = next(c for c in payload["report"]["checks"] if not c["passed"])
-        tag = f" [{first['tag']}]" if first.get("tag") else ""
-        print(f"FAILURES present; first failing identity: {first['name']}{tag}")
-    return 0 if ok else 1
+        return 0
+    tag = f" [{failed[0]['tag']}]" if failed[0].get("tag") else ""
+    print(f"FAILURES present; first failing identity: {failed[0]['name']}{tag}")
+    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +395,17 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    """main() as a process: exit 141 (128 + SIGPIPE), quietly, when stdout is
+    closed before the output is written, as in `qgalois verify ... | true`."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout once more at shutdown
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    console_main()

@@ -1,62 +1,24 @@
-"""Coactions on presented algebras, invariant subspaces, finite-dimensional
-corepresentations, cotensor products at degree truncation, and the left
-coaction built from the inverse antipode.
+"""Coactions on presented algebras: their certificates, invariant subspaces,
+finite-dimensional corepresentations, cotensor products at degree truncation,
+and the left coaction built from the inverse antipode.  `Coaction` itself
+lives in `structure`, beside the other maps given on generators; the regular
+coaction is the coproduct Delta of the Hopf data.
 """
 
 from __future__ import annotations
 
 from . import structure
 from .linalg import RowSpace, add_scaled, combine, invert_scalar_matrix, nullspace
-from .ncalg import (EMPTY, NCPoly, Presentation, PresentationError, Word, extend_word,
-                    format_word)
+from .ncalg import EMPTY, NCPoly, Presentation, PresentationError, Word, format_word
 from .report import Report
 from .scalars import QRat, qrat
+from .structure import Coaction
 from .tensors import TensorElem
 
 
-class Coaction:
-    """Right coaction delta: A -> A (x) H given on generators."""
-
-    def __init__(self, name: str, A: Presentation, H: Presentation, table: dict):
-        self.name = name
-        self.A = A
-        self.H = H
-        self.table: dict[str, TensorElem] = {}
-        for g in A.generators:
-            if g.name not in table:
-                raise PresentationError(f"coaction misses generator {g.name!r}")
-            t = table[g.name]
-            if t.legs != (A, H):
-                raise PresentationError(f"coaction value for {g.name!r} has wrong legs")
-            self.table[g.name] = t
-        self.verified = False
-        self._cache: dict[Word, TensorElem] = {EMPTY: TensorElem.unit((A, H))}
-
-    def apply_word(self, w: Word) -> TensorElem:
-        return extend_word(self._cache, w, lambda out, g: out.tensor_mul(self.table[g]))
-
-    def apply(self, p: NCPoly) -> TensorElem:
-        if p.alg is not self.A:
-            raise PresentationError("element does not belong to the coacted algebra")
-        return TensorElem((self.A, self.H), combine((self.apply_word(w).terms, c)
-                                                    for w, c in p.terms.items()), normal=True)
-
-    def __call__(self, p: NCPoly) -> TensorElem:
-        return self.apply(p)
-
-
 def regular_coaction(alg: Presentation) -> Coaction:
-    """The comultiplication of a Hopf presentation, viewed as a coaction on itself."""
-    structure._require_hopf(alg)
-    table = {g.name: structure.coproduct_word(alg, (g.name,)) for g in alg.generators}
-    return Coaction(f"regular_{alg.name}", alg, alg, table)
-
-
-def trivial_coaction(A: Presentation, H: Presentation) -> Coaction:
-    one_h = EMPTY
-    table = {g.name: TensorElem((A, H), {((g.name,), one_h): QRat(1)})
-             for g in A.generators}
-    return Coaction(f"trivial_{A.name}", A, H, table)
+    """The comultiplication of a Hopf presentation, the coaction of H on itself."""
+    return structure._require_hopf(alg).delta
 
 
 def verify_coaction(delta: Coaction) -> Report:
@@ -70,11 +32,10 @@ def verify_coaction(delta: Coaction) -> Report:
     from the generators multiplicatively, starting at 1 (x) 1.
     """
     A, H = delta.A, delta.H
-    structure._require_hopf(H)
+    coproduct = structure._require_hopf(H).delta
     rep = Report()
     for r in A.rules:
-        img = TensorElem((A, H), combine((delta.apply_word(w).terms, c)
-                                         for w, c in r.relation().items()), normal=True)
+        img = delta.apply_terms(r.relation())
         rep.add(f"relation {' '.join(r.lhs)}", img.is_zero,
                 "maps to 0" if img.is_zero else f"maps to {img}",
                 tag="delta extends to an algebra map")
@@ -83,7 +44,7 @@ def verify_coaction(delta: Coaction) -> Report:
     for w in gens:
         dv = delta.apply_word(w)
         lhs = dv.expand_leg(0, delta.apply_word, legs_hint=(A, H))
-        rhs = dv.expand_leg(1, lambda u: structure.coproduct_word(H, u), legs_hint=(H, H))
+        rhs = dv.expand_leg(1, coproduct.apply_word, legs_hint=(H, H))
         if lhs != rhs:
             bad_coassoc.append(w)
     bad_counit = counit_failures(delta)
@@ -109,13 +70,12 @@ def counit_failures(delta: Coaction) -> list[Word]:
     that eps_H factors through the relations of H, which
     `structure.verify_hopf_axioms` certifies.
     """
-    A, H = delta.A, delta.H
-    structure._require_hopf(H)
+    eps = structure._require_hopf(delta.H).counit
     bad = []
-    for g in A.generators:
+    for g in delta.A.generators:
         w = (g.name,)
-        back = delta.apply_word(w).contract_leg(1, lambda u: structure.counit_word(H, u))
-        if back != NCPoly(A, {w: QRat(1)}):
+        back = delta.apply_word(w).contract_leg(1, eps.on_word)
+        if back != NCPoly(delta.A, {w: QRat(1)}):
             bad.append(w)
     return bad
 
@@ -153,7 +113,7 @@ class Corepresentation:
     """Square matrix of coalgebra elements; left corep convention
     rho(v_i) = sum_j c_ij (x) v_j."""
 
-    def __init__(self, name: str, H: Presentation, entries, side: str = "left"):
+    def __init__(self, name: str, H: Presentation, entries):
         self.name = name
         self.H = H
         self.entries: list[list[NCPoly]] = [list(row) for row in entries]
@@ -164,7 +124,6 @@ class Corepresentation:
             for e in row:
                 if e.alg is not H:
                     raise PresentationError("corepresentation entry in the wrong algebra")
-        self.side = side
 
     def __getitem__(self, ij):
         i, j = ij
@@ -198,7 +157,7 @@ def verify_corepresentation(c: Corepresentation) -> Report:
 def contragredient(c: Corepresentation) -> Corepresentation:
     """Antipode applied entrywise to the transpose."""
     entries = [[structure.antipode(c[j, i]) for j in range(c.n)] for i in range(c.n)]
-    return Corepresentation(f"{c.name}-dual", c.H, entries, side=c.side)
+    return Corepresentation(f"{c.name}-dual", c.H, entries)
 
 
 def corep_equivalence(c: Corepresentation, c2: Corepresentation, Q) -> Report:
@@ -257,10 +216,5 @@ def _flatten(vec) -> dict:
 
 def left_coaction(delta: Coaction, a: NCPoly) -> TensorElem:
     """(S^-1 (x) id) o flip o delta, the Hopf closed form of the left coaction."""
-    H = delta.H
-    hopf = structure._require_hopf(H)
-    if not hopf.antipode_inv:
-        raise PresentationError("left coaction needs the inverse antipode")
-    flipped = delta.apply(a).swap(0, 1)
-    return flipped.map_leg(0, lambda w: structure.antipode_inv(
-        NCPoly(H, {w: QRat(1)}, normal=True)))
+    s_inv = structure._require_hopf(delta.H).antipode_inv
+    return delta.apply(a).swap(0, 1).map_leg(0, s_inv.apply_word)

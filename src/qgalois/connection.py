@@ -148,9 +148,7 @@ class StrongConnection:
         structure._require_hopf(H)
         if span.H is not H:
             raise PresentationError("span must live in the structure algebra")
-        if coaction is None:
-            from .comodule import regular_coaction
-            coaction = regular_coaction(H)
+        coaction = coaction or H.hopf.delta
         if coaction.A is not H or coaction.H is not H:
             raise PresentationError("trivial connection requires A = H with delta = Delta")
         return cls(span, H, coaction, "trivial", name=f"trivial_{H.name}")
@@ -160,10 +158,8 @@ class StrongConnection:
     def _ell_trivial_word(self, w: Word) -> TensorElem:
         cached = self._word_cache.get(w)
         if cached is None:
-            H = self.A
-            d = structure.coproduct_word(H, w)
-            cached = d.map_leg(0, lambda u: structure.antipode(
-                NCPoly(H, {u: QRat(1)}, normal=True)))
+            hopf = self.A.hopf
+            cached = hopf.delta.apply_word(w).map_leg(0, hopf.antipode.apply_word)
             self._word_cache[w] = cached
         return cached
 

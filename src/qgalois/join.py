@@ -1,6 +1,8 @@
 """Polynomial model of the equivariant join of a comodule algebra with its
 structure Hopf algebra: boundary-constrained t-polynomials over A (x) H, the
-diagonal-type coaction id (x) Delta, and the character-collapse maps.
+diagonal-type coaction id (x) Delta, and the character-collapse maps.  A
+`Character` lives in `structure`, beside the other maps given on generators;
+the counit eps of the Hopf data is one.
 
 Membership of x(1) in delta(A) is decided by the counit projection: delta is
 counital, so (id (x) eps) o delta = id, the only possible preimage is
@@ -12,11 +14,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import structure
-from .comodule import Coaction, counit_failures
+from .comodule import counit_failures
 from .linalg import add_scaled, combine
 from .ncalg import EMPTY, NCPoly, Presentation, PresentationError
 from .report import Report
 from .scalars import QRat, qrat
+from .structure import Character, Coaction
 from .tensors import TensorElem
 
 
@@ -174,7 +177,6 @@ def join_membership(x: JoinElement, d_a: int) -> Report:
     """Both boundary conditions, exactly: scalars (x) H at t=0, the coaction
     image at t=1 (the preimage of degree <= d_a read off by the counit)."""
     rep = Report()
-    A, H = x.delta.A, x.delta.H
     at0 = x.evaluate(0)
     ok0 = all(k[0] == EMPTY for k in at0.terms)
     rep.add("boundary-zero", ok0,
@@ -205,7 +207,7 @@ def _solve_coaction_membership(delta: Coaction, target: TensorElem, d_a: int):
     a = (id (x) eps)(target); a PASS is witnessed by delta(a) == target.
     """
     _require_counital(delta)
-    a = target.contract_leg(1, lambda u: structure.counit_word(delta.H, u))
+    a = target.contract_leg(1, delta.H.hopf.counit.on_word)
     if a.degree() <= d_a and delta.apply(a) == target:
         return a
     return None
@@ -213,11 +215,10 @@ def _solve_coaction_membership(delta: Coaction, target: TensorElem, d_a: int):
 
 def join_coaction(x: JoinElement) -> TPoly:
     """id (x) Delta on every coefficient; the value lives over A (x) H (x) H."""
-    A, H = x.delta.A, x.delta.H
-    legs = (A, H, H)
-    return x.tpoly.map_coeffs(
-        lambda t: t.expand_leg(1, lambda w: structure.coproduct_word(H, w),
-                               legs_hint=(H, H)), legs)
+    H = x.delta.H
+    coproduct = structure._require_hopf(H).delta
+    return x.tpoly.map_coeffs(lambda t: t.expand_leg(1, coproduct.apply_word, legs_hint=(H, H)),
+                              (x.delta.A, H, H))
 
 
 def join_coaction_membership(x: JoinElement, d_a: int) -> Report:
@@ -246,67 +247,19 @@ def join_coassociativity(x: JoinElement) -> bool:
     """Both iterated coactions agree; checked slicewise on the H-leg so the
     tensor degree stays within 3."""
     H = x.delta.H
+    coproduct = structure._require_hopf(H).delta
     for t in x.tpoly.coeffs.values():
         for _, h_slice in t.grouped(0).items():
-            d2 = structure.coproduct(h_slice)
-            left = d2.expand_leg(0, lambda u: structure.coproduct_word(H, u),
-                                 legs_hint=(H, H))
-            right = d2.expand_leg(1, lambda u: structure.coproduct_word(H, u),
-                                  legs_hint=(H, H))
+            d2 = coproduct.apply(h_slice)
+            left = d2.expand_leg(0, coproduct.apply_word, legs_hint=(H, H))
+            right = d2.expand_leg(1, coproduct.apply_word, legs_hint=(H, H))
             if left != right:
                 return False
     return True
 
 
-class Character:
-    """Multiplicative unital star-compatible functional on a presentation."""
-
-    def __init__(self, alg: Presentation, values: dict, name: str = "chi"):
-        self.alg = alg
-        self.name = name
-        self.values = {}
-        for g in alg.generators:
-            if g.name not in values:
-                raise PresentationError(f"character misses generator {g.name!r}")
-            self.values[g.name] = qrat(values[g.name])
-        self.verified = False
-
-    def on_word(self, w) -> QRat:
-        out = QRat(1)
-        for g in w:
-            out = out * self.values[g]
-            if out.is_zero:
-                break
-        return out
-
-    def __call__(self, p: NCPoly) -> QRat:
-        out = QRat(0)
-        for w, c in p.terms.items():
-            out = out + c * self.on_word(w)
-        return out
-
-    def verify(self) -> Report:
-        rep = Report()
-        for r in self.alg.rules:
-            val = QRat(0)
-            for w, c in r.relation().items():
-                val = val + c * self.on_word(w)
-            rep.add(f"relation {' '.join(r.lhs)}", val.is_zero,
-                    "character kills the relation" if val.is_zero else f"value {val}",
-                    tag="chi(relation) = 0")
-        star_ok = all(self.values[g.name] == self.values[g.star]
-                      for g in self.alg.generators)
-        rep.add("star-compatibility", star_ok,
-                "chi(g*) = chi(g) (rational values are self-conjugate)" if star_ok
-                else "star pairing broken", tag="chi o * = conj o chi")
-        self.verified = rep.ok
-        return rep
-
-
 def counit_character(alg: Presentation) -> Character:
-    structure._require_hopf(alg)
-    return Character(alg, {g.name: alg.hopf.counit[g.name] for g in alg.generators},
-                     name="eps")
+    return structure._require_hopf(alg).counit
 
 
 def chi_collapse(x: JoinElement, chi: Character, t0=Fraction(1, 2)) -> NCPoly:
@@ -319,8 +272,7 @@ def chi_collapse(x: JoinElement, chi: Character, t0=Fraction(1, 2)) -> NCPoly:
         if not chi.verified:
             raise PresentationError("character failed verification")
     at = x.evaluate(qrat(Fraction(t0)))
-    collapsed = at.contract_leg(0, chi.on_word)
-    return collapsed
+    return at.contract_leg(0, chi.on_word)
 
 
 def chi_equivariance(x: JoinElement, chi: Character, t0=Fraction(1, 2)) -> bool:
@@ -328,7 +280,6 @@ def chi_equivariance(x: JoinElement, chi: Character, t0=Fraction(1, 2)) -> bool:
     certificate: chi acts on the A-leg and Delta on the H-leg, so this is an
     identity of the polynomial model, true of every character and element,
     join member or not (x + t a (x) g, which fails boundary-one, passes)."""
-    H = x.delta.H
     lhs = structure.coproduct(chi_collapse(x, chi, t0))
     co = join_coaction(x)
     at = co.evaluate(qrat(Fraction(t0)))

@@ -124,12 +124,10 @@ def fundamental_corep() -> Corepresentation:
     return workspace().coreps["fundamental"]
 
 
-@lru_cache(maxsize=1)
 def regular_suq2_coaction() -> Coaction:
     return regular_coaction(suq2())
 
 
-@lru_cache(maxsize=1)
 def regular_u1_coaction() -> Coaction:
     return regular_coaction(u1())
 

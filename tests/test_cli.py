@@ -144,6 +144,39 @@ def test_report_missing_artifact(capsys, tmp_path):
     assert code == 2
 
 
+def _cli_process(*argv, **kwargs):
+    """`python -m qgalois.cli ARGV` on this checkout's sources."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "qgalois.cli", *argv], text=True,
+                          timeout=30, env=env, **kwargs)
+
+
+@pytest.mark.parametrize("payload", [
+    "5", "null", '{"report": 5}', '{"report": {"checks": [5]}}',
+    '{"report": {"checks": [{"passed": true}]}}',
+], ids=["number", "null", "report-number", "check-number", "check-without-name"])
+def test_malformed_artifact_is_an_input_error(tmp_path, payload):
+    artifact = tmp_path / "bad.json"
+    artifact.write_text(payload)
+    proc = _cli_process("report", "--input", str(artifact), capture_output=True)
+    assert proc.returncode == 2 and not proc.stdout
+    assert proc.stderr.startswith("error: artifact report is malformed: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_closed_stdout_exits_141_quietly():
+    # the reading end is closed before the child writes, as in `qgalois ... | true`
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _cli_process("verify", "--preset", "u1", stdout=write, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, "")
+
+
 def test_deterministic_artifacts(capsys, tmp_path):
     a1 = tmp_path / "one.json"
     a2 = tmp_path / "two.json"

@@ -4,8 +4,7 @@ from qgalois import structure
 from qgalois.comodule import (Coaction, Corepresentation, contragredient,
                               corep_equivalence, cotensor_basis,
                               invariant_subspace, left_coaction,
-                              trivial_coaction, verify_coaction,
-                              verify_corepresentation)
+                              verify_coaction, verify_corepresentation)
 from qgalois.ncalg import PresentationError
 from qgalois.scalars import QRat, q_power
 from qgalois.tensors import TensorElem
@@ -66,7 +65,8 @@ def test_invariants_of_the_regular_coaction(regular_suq2, suq2):
 
 
 def test_invariants_of_the_trivial_coaction(suq2, u1):
-    triv = trivial_coaction(suq2, u1)
+    triv = Coaction("trivial_suq2", suq2, u1, {g.name: TensorElem(
+        (suq2, u1), {((g.name,), ()): QRat(1)}) for g in suq2.generators})
     assert verify_coaction(triv).ok
     inv = invariant_subspace(triv, 1)
     assert len(inv) == 5

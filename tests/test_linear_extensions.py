@@ -57,7 +57,7 @@ def test_morphism_apply(data):
 def test_antipodes(table, data):
     alg = presets.suq2()
     p = data.draw(polys(alg, 3))
-    images = getattr(alg.hopf, table)
+    images = getattr(alg.hopf, table).images
     # each word by its own anti-multiplicative fold, with no shared cache
     want = reference_linear(alg.zero(), p.terms, lambda w: reference_extend(
         w, alg.one(), lambda out, g: out * images[g], reverse=True))

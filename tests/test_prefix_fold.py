@@ -14,7 +14,6 @@ from qgalois import presets, structure
 from qgalois.comodule import regular_coaction
 from qgalois.ncalg import EMPTY, extend_word
 from qgalois.presfile import parse_workspace
-from qgalois.structure import Morphism
 from qgalois.tensors import TensorElem
 from sweeps import reference_extend
 
@@ -27,18 +26,12 @@ def _maps(ws):
         h = alg.hopf
         out.append((f"Delta {alg.name}", alg, lambda w, alg=alg: structure.coproduct_word(alg, w),
                     TensorElem.unit((alg, alg)),
-                    lambda t, g, h=h: t.tensor_mul(h.delta[g]), False))
+                    lambda t, g, h=h: t.tensor_mul(h.delta.table[g]), False))
     for delta in (ws.coactions["fibration"], regular_coaction(A)):
         out.append((f"delta {delta.name}", A, delta.apply_word,
                     TensorElem.unit((delta.A, delta.H)),
                     lambda t, g, d=delta: t.tensor_mul(d.table[g]), False))
-    h = A.hopf
-    for label, table, cache in (("S", h.antipode, h._s_cache),
-                                ("S^-1", h.antipode_inv, h._sinv_cache)):
-        out.append((label, A, lambda w, t=table, c=cache: structure._anti_extend(t, c, w),
-                    A.one(), lambda p, g, t=table: p * t[g], True))
-    antihom = Morphism(A, A, dict(h.antipode), kind="antihom", name="S")
-    for m in (ws.morphisms["collapse"], antihom):
+    for m in (ws.morphisms["collapse"], A.hopf.antipode, A.hopf.antipode_inv):
         out.append((f"{m.kind} {m.name}", A, m.apply_word, m.target.one(),
                     lambda p, g, m=m: p * m.images[g], m.kind == "antihom"))
     return out
