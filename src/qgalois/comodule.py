@@ -214,7 +214,18 @@ def _flatten(vec) -> dict:
     return {(j, w): coeff for j, p in enumerate(vec) for w, coeff in p.terms.items()}
 
 
-def left_coaction(delta: Coaction, a: NCPoly) -> TensorElem:
-    """(S^-1 (x) id) o flip o delta, the Hopf closed form of the left coaction."""
+def left_coaction_word(delta: Coaction, w: Word) -> TensorElem:
+    """(S^-1 (x) id) o flip o delta on one normal word, the Hopf closed form
+    of the left coaction: S^-1(h) (x) a for each term a (x) h of delta(w)."""
     s_inv = structure._require_hopf(delta.H).antipode_inv
-    return delta.apply(a).swap(0, 1).map_leg(0, s_inv.apply_word)
+    return TensorElem((delta.H, delta.A), combine(
+        ({(h2, a): c2 for h2, c2 in s_inv.apply_word(h).terms.items()}, c)
+        for (a, h), c in delta.apply_word(w).terms.items()), normal=True)
+
+
+def left_coaction(delta: Coaction, a: NCPoly) -> TensorElem:
+    """The left coaction of an element, summed over its words."""
+    if a.alg is not delta.A:
+        raise PresentationError("element does not belong to the coacted algebra")
+    return TensorElem((delta.H, delta.A), combine(
+        (left_coaction_word(delta, w).terms, c) for w, c in a.terms.items()), normal=True)

@@ -6,11 +6,10 @@ pullback along equivariant maps.
 from __future__ import annotations
 
 from . import structure
-from .comodule import Coaction, left_coaction
+from .comodule import Coaction, left_coaction_word
 from .linalg import ONE, RowSpace, combine
 from .ncalg import NCPoly, Presentation, PresentationError, Word
 from .report import Report
-from .scalars import QRat
 from .structure import Morphism
 from .tensors import TensorElem
 
@@ -219,8 +218,8 @@ def check_strong_connection(ell: StrongConnection, delta: Coaction) -> Report:
         # left colinearity
         try:
             comp1 = ell.domain.delta_components(b, 1)
-            lhs = lv.expand_leg(0, lambda w: left_coaction(
-                delta, NCPoly(A, {w: QRat(1)}, normal=True)), legs_hint=(delta.H, A))
+            lhs = lv.expand_leg(0, lambda w: left_coaction_word(delta, w),
+                                legs_hint=(delta.H, A))
             rhs = combine((TensorElem.from_poly(h).outer(ell.ell(s)).terms, ONE)
                           for s, h in zip(ell.domain.basis, comp1) if not h.is_zero)
             ok = lhs.terms == rhs

@@ -10,7 +10,7 @@ structural.
 
 from __future__ import annotations
 
-from .linalg import ONE, add_scaled
+from .linalg import ONE, add_scaled, vec_scale
 from .scalars import QRat, qrat, needs_parens
 
 Word = tuple[str, ...]
@@ -94,6 +94,13 @@ class Presentation:
         self._by_last: dict[str, list[RewriteRule]] = {}
         for r in self.rules:
             self._by_last.setdefault(r.lhs[-1], []).append(r)
+        # the q-commutations y x -> c x y, keyed by their left side
+        self._swaps: dict[Word, QRat] = {}
+        for r in self.rules:
+            if len(r.lhs) == 2 and len(r.rhs) == 1:
+                (rw, c), = r.rhs.items()
+                if rw == r.lhs[::-1]:
+                    self._swaps[r.lhs] = c
         # normal forms are strategy-independent only once every overlap
         # resolves (Bergman's diamond lemma), so confluence comes first
         self._confluence = self._resolve_overlaps()
@@ -174,11 +181,26 @@ class Presentation:
                 return r
         return None
 
+    def _fold(self, v: Word, letters: Word) -> dict:
+        """nf(v letters) for a normal word v, one letter at a time."""
+        terms = {v: ONE}
+        for y in letters:
+            nxt: dict = {}
+            for u, cu in terms.items():
+                add_scaled(nxt, self._append(u, y), cu)
+            terms = nxt
+        return terms
+
     def _append(self, w: Word, x: str) -> dict:
         """nf(w x) for a normal word w, memoized.
 
-        Only a redex ending at x can occur; its right side is folded back onto
-        the normal prefix in front of it one letter at a time.
+        Only a redex ending at x can occur.  For a q-commutation y x -> s x y,
+        x passes the whole run y^m that ends w in one step, at the cost s^m:
+        nf(w x) is s^m nf(w' x) y^m, with w' the rest of w, and y^m goes back
+        behind each term unchanged unless a rule crosses that seam.  The runs
+        of w' are further seam steps, so the recursion is as deep as the number
+        of runs x passes, not of letters.  A term whose seam is crossed, and
+        any other redex, has its right side folded back letter by letter.
         """
         wx = w + (x,)
         res = self._seam.get(wx)
@@ -187,11 +209,33 @@ class Presentation:
         r = self._rule_ending(wx, len(wx))
         if r is None:
             res = {wx: ONE}
+        elif (s := self._swaps.get(r.lhs)) is not None:
+            j = len(w) - 1
+            while j and w[j - 1] == w[-1]:
+                j -= 1
+            run = w[j:]
+            # the terms of nf(w' x) and the run are normal, so a redex of
+            # their product crosses the seam within the longest rule
+            reach = min(len(run), self._max_rule_len - 1)
+            direct, crossed = {}, {}
+            for v, cv in self._append(w[:j], x).items():
+                vr = v + run
+                n = len(v)
+                for i in range(n + 1, n + reach + 1):
+                    if self._rule_ending(vr, i) is not None:
+                        crossed[v] = cv
+                        break
+                else:
+                    direct[vr] = cv
+            c = s if len(run) == 1 else s ** len(run)
+            res = direct if c == ONE else vec_scale(direct, c)
+            for v, cv in crossed.items():
+                add_scaled(res, self._fold(v, run), cv * c)
         else:
             pre = wx[:len(wx) - len(r.lhs)]
             res = {}
-            # the fold is written out here, not shared with normal_form_word,
-            # so that each seam step costs one stack frame
+            # the fold is written out here, not shared through _fold, so that
+            # each nested seam step costs one stack frame
             for rw, c in r.rhs.items():
                 terms = {pre: ONE}
                 for y in rw:
@@ -215,12 +259,7 @@ class Presentation:
         n = 0
         while n < len(w) and self._rule_ending(w, n + 1) is None:
             n += 1
-        res = {w[:n]: ONE}
-        for x in w[n:]:
-            nxt: dict = {}
-            for v, cv in res.items():
-                add_scaled(nxt, self._append(v, x), cv)
-            res = nxt
+        res = self._fold(w[:n], w[n:])
         self._nf_cache[w] = res
         return res
 

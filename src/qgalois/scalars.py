@@ -7,7 +7,8 @@ comparison, which the rewriting kernel relies on everywhere.
 
 Nearly every value is Laurent, over c q^k: its gcd is q^min(val n, k) times
 gcd(content n, |c|), with no Z[q] gcd, and a monomial factor c q^k in a product
-is a shift and a scale.
+is a shift and a scale.  A product or power of monomials is built directly, at
+the cost of one integer gcd at most.
 
 Values are printed here; text is read into them only by the presentation-file
 grammar in `qgalois.presfile`, which bounds exponents, degrees and coefficient
@@ -291,13 +292,28 @@ class QRat:
         return out
 
     def __mul__(self, other):
-        other = qrat(other)
+        if not isinstance(other, QRat):
+            other = qrat(other)
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
         # values are immutable, so a factor exactly 1 returns the other one
-        if self.num == (1,) and self.den == (1,):
+        if n1 == (1,) and d1 == (1,):
             return other
-        if other.num == (1,) and other.den == (1,):
+        if n2 == (1,) and d2 == (1,):
             return self
-        return QRat._make(_pmul(self.num, other.num), _pmul(self.den, other.den))
+        if (n1.count(0) == len(n1) - 1 and d1.count(0) == len(d1) - 1
+                and n2.count(0) == len(n2) - 1 and d2.count(0) == len(d2) - 1):
+            # c q^k times c' q^k': the canonical form of (c c') q^(k+k') has
+            # the q-power on one side and the coefficient in lowest terms
+            a, b = n1[-1] * n2[-1], d1[-1] * d2[-1]
+            g = _igcd(a, b)
+            if g != 1:
+                a, b = a // g, b // g
+            e = len(n1) + len(n2) - len(d1) - len(d2)
+            out = object.__new__(QRat)
+            object.__setattr__(out, "num", (0,) * e + (a,))
+            object.__setattr__(out, "den", (0,) * -e + (b,))
+            return out
+        return QRat._make(_pmul(n1, n2), _pmul(d1, d2))
 
     __rmul__ = __mul__
 
@@ -321,14 +337,19 @@ class QRat:
                 raise ZeroDivisionError("zero has no negative powers")
             n, d, k = (d, n, -k) if n[-1] > 0 else (_pneg(d), _pneg(n), -k)
         # n/d is reduced, so n^k/d^k is too: gcd(n^k, d^k) = 1 in Z[q]
-        pn, pd = (1,), (1,)
-        while True:
-            if k & 1:
-                pn, pd = _pmul(pn, n), _pmul(pd, d)
-            k >>= 1
-            if not k:
-                break
-            n, d = _pmul(n, n), _pmul(d, d)
+        if n.count(0) == len(n) - 1 and d.count(0) == len(d) - 1:
+            # (c q^e)^k is c^k q^(e k)
+            pn = (0,) * ((len(n) - 1) * k) + (n[-1] ** k,)
+            pd = (0,) * ((len(d) - 1) * k) + (d[-1] ** k,)
+        else:
+            pn, pd = (1,), (1,)
+            while True:
+                if k & 1:
+                    pn, pd = _pmul(pn, n), _pmul(pd, d)
+                k >>= 1
+                if not k:
+                    break
+                n, d = _pmul(n, n), _pmul(d, d)
         out = object.__new__(QRat)
         object.__setattr__(out, "num", pn)
         object.__setattr__(out, "den", pd)

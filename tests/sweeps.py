@@ -10,6 +10,11 @@ directly in low degrees, so the two can be compared.  Each returns
 is left, a strategy independent of the letter-by-letter fold of
 `Presentation.normal_form_word`.
 
+`reference_seam_fold` folds the right side of every redex back onto the
+prefix in front of it, one letter and one nested seam step at a time, with its
+own memo: the oracle for `Presentation._append`, which passes a whole run of
+q-commuting letters in one step.
+
 `reference_extend` folds a word's letters from the unit every time, with no
 memo: the oracle for `ncalg.extend_word`, which starts from the longest
 cached prefix or suffix.
@@ -217,6 +222,40 @@ def reference_normal_form(alg, w, cache: dict) -> dict:
                     res[w2] = v
     cache[w] = res
     return res
+
+
+def reference_seam_fold(alg, w) -> dict:
+    """Normal form of the word w as a fold of its letters from the unit, each
+    letter appended to a normal word by rewriting the one redex it can close
+    and folding the rule's right side back letter by letter."""
+    seam: dict = {}
+
+    def append(v, x):
+        vx = v + (x,)
+        hit = seam.get(vx)
+        if hit is not None:
+            return hit
+        r = next((r for r in alg.rules
+                  if len(r.lhs) <= len(vx) and vx[len(vx) - len(r.lhs):] == r.lhs), None)
+        if r is None:
+            res = {vx: QRat(1)}
+        else:
+            res = {}
+            for rw, c in r.rhs.items():
+                add_scaled(res, fold(vx[:len(vx) - len(r.lhs)], rw), c)
+        seam[vx] = res
+        return res
+
+    def fold(v, letters):
+        terms = {v: QRat(1)}
+        for y in letters:
+            nxt: dict = {}
+            for u, cu in terms.items():
+                add_scaled(nxt, append(u, y), cu)
+            terms = nxt
+        return terms
+
+    return fold((), tuple(w))
 
 
 def reference_extend(w, unit, step, reverse: bool = False):

@@ -518,11 +518,22 @@ def test_long_word_normalizes(capsys, tmp_path):
     assert f"CHECK long/mult-counit u FAIL m(l(c)) = 1/q^1640 {word}, eps(c) = 1" in out
 
 
+OSCILLATOR = """
+algebra osc
+generators b b*
+star b b*
+order b < b*
+rel b* b = q b b* + 1
+"""
+
+
 def test_word_too_deep_to_normalize_is_an_input_error(tmp_path):
-    # moving a in front of 3000 letters g* nests one seam step per letter,
+    # b* b = q b b* + 1 is not a q-commutation, so moving b in front of 3000
+    # letters b* folds its right side back one nested seam step per letter,
     # deeper than the interpreter's recursion limit
     f = tmp_path / "deep.alg"
-    long_word_file(f, " ".join(["g*"] * 3000 + ["a"]))
+    f.write_text(OSCILLATOR + "morphism deep : osc -> osc\n"
+                 f"f b = {' '.join(['b*'] * 3000 + ['b'])}\nf b* = b*\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))

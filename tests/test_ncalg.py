@@ -5,10 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qgalois import presets
 from qgalois.ncalg import (EMPTY, Generator, Presentation, PresentationError,
                            TerminationError, format_word)
+from qgalois.presfile import parse_workspace
 from qgalois.scalars import QRat, q_power
-from sweeps import reference_normal_form
+from sweeps import reference_normal_form, reference_seam_fold
+from test_cherngalois import TORUS_SOURCE
+from test_cli import OSCILLATOR
 
 
 def pbw_count(n: int) -> int:
@@ -253,3 +257,49 @@ def test_normal_forms_match_leftmost_rewriting(name, data):
     w = tuple(data.draw(st.lists(st.sampled_from(letters), max_size=14)))
     expected = reference_normal_form(A, w, {})
     assert A.normal_form_word(w) == expected
+
+
+# ---------------------------------------------------------------------------
+# runs of q-commutations: `_append` passes a whole run of letters that swap
+# with the new one in one step; the letter-by-letter seam fold is the oracle
+
+def _fresh(source, name):
+    return parse_workspace(source).algebras[name]
+
+
+def test_swap_run_normalizes_without_recursion():
+    A = _fresh(presets.SUQ2_SOURCE, "suq2")
+    word = A.word(*(["g*"] * 3000 + ["a"]))
+    assert word == A.word(*(["a"] + ["g*"] * 3000)) * q_power(-3000)
+
+
+def test_swap_run_keeps_the_seam_memo_small():
+    A = _fresh(presets.SUQ2_SOURCE, "suq2")
+    before = len(A._seam)
+    A.normal_form_word(("g*",) * 30 + ("a",) * 30)
+    assert len(A._seam) - before <= 100
+
+
+@st.composite
+def runs(draw, letters, long_letters, max_len=40):
+    """A word of runs of one letter each, the runs of long_letters longer."""
+    w = []
+    for _ in range(draw(st.integers(0, 12))):
+        x = draw(st.sampled_from(letters))
+        w += [x] * draw(st.integers(1, 12 if x in long_letters else 3))
+    return tuple(w[:max_len])
+
+
+ALGEBRAS = {"suq2": (presets.SUQ2_SOURCE, ("g", "g*")),
+            "osc": (OSCILLATOR, ()),
+            "t2": (TORUS_SOURCE, ("y", "y*")),
+            "u1": (presets.U1_SOURCE, ())}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(ALGEBRAS)), st.data())
+def test_normal_forms_match_the_letter_by_letter_fold(name, data):
+    source, long_letters = ALGEBRAS[name]
+    A = _fresh(source, name)
+    w = data.draw(runs([g.name for g in A.generators], long_letters))
+    assert A.normal_form_word(w) == reference_seam_fold(A, w)

@@ -54,6 +54,15 @@ def qrats(draw):
     return QRat(num, den)
 
 
+@st.composite
+def monomials(draw):
+    """c q^k with c a nonzero rational of either sign and |k| <= 60."""
+    n = draw(st.integers(min_value=-40, max_value=40).filter(bool))
+    d = draw(st.integers(min_value=1, max_value=40))
+    k = draw(st.integers(min_value=-60, max_value=60))
+    return QRat((0,) * k + (n,), (0,) * -k + (d,))
+
+
 @settings(max_examples=80, deadline=None)
 @given(qrats(), qrats(), qrats())
 def test_field_axioms(a, b, c):
@@ -301,7 +310,8 @@ def test_laurent_fast_paths_match_the_general_route(pair, other):
 
 # ---------------------------------------------------------------------------
 # powers: with n / d in lowest terms, gcd(n^k, d^k) = 1 in Z[q], so n^k / d^k
-# is the canonical form with no gcd taken
+# is the canonical form with no gcd taken, and a monomial's (c q^e)^k is
+# c^k q^(e k) at once
 
 def repeated_power(a, k):
     out = QRat(1)
@@ -310,8 +320,8 @@ def repeated_power(a, k):
     return QRat(1) / out if k < 0 else out
 
 
-@settings(max_examples=120, deadline=None)
-@given(qrats(), st.integers(min_value=-9, max_value=9))
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(qrats(), monomials()), st.integers(min_value=-9, max_value=9))
 def test_power_matches_repeated_products_and_sympy(a, k):
     x = sympy.Symbol("q")
 
@@ -352,3 +362,18 @@ def test_power_takes_no_gcd(monkeypatch):
     for base, k, want in wants:
         got = base ** k
         assert (got.num, got.den) == (want.num, want.den)
+
+
+# ---------------------------------------------------------------------------
+# monomial products: c q^k times c' q^k' is formed directly, with one integer
+# gcd; it must reach the canonical form of the general product
+
+scalars_to_multiply = st.one_of(monomials(), qrats(), st.just(QRat(0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(scalars_to_multiply, scalars_to_multiply)
+def test_products_match_the_general_route(a, b):
+    got = a * b
+    want = QRat._make(_pmul(a.num, b.num), _pmul(a.den, b.den))
+    assert (got.num, got.den) == (want.num, want.den)
