@@ -1,6 +1,10 @@
 """Polynomial model of the equivariant join of a comodule algebra with its
-structure Hopf algebra: boundary-constrained t-polynomials over A (x) H, the
-diagonal-type coaction id (x) Delta, and the character-collapse maps.  A
+structure Hopf algebra.  A join element is a tensor over C[t] (x) A (x) H,
+C[t] being the presentation `T` with t* = t and no relations: the term
+t^k (x) a (x) h has key (("t",)*k, a, h), so sums, products, stars and the
+diagonal-type coaction id (x) id (x) Delta are the tensor operations of
+`tensors`, and evaluation at t0 contracts the C[t] leg.  The boundary
+conditions and the character-collapse maps read the evaluated tensor.  A
 `Character` lives in `structure`, beside the other maps given on generators;
 the counit eps of the Hopf data is one.
 
@@ -15,137 +19,90 @@ from fractions import Fraction
 
 from . import structure
 from .comodule import counit_failures
-from .linalg import add_scaled, combine
-from .ncalg import EMPTY, NCPoly, Presentation, PresentationError
+from .ncalg import EMPTY, Generator, NCPoly, Presentation, PresentationError
 from .report import Report
 from .scalars import QRat, qrat
 from .structure import Character, Coaction
 from .tensors import TensorElem
+
+T = Presentation("C[t]", [Generator("t", "t")])
 
 
 class JoinDegreeError(ArithmeticError):
     """Product exceeds the configured t-degree cap."""
 
 
-class TPoly:
-    """Polynomial in a central parameter t with TensorElem coefficients."""
+def TPoly(legs, coeffs) -> TensorElem:
+    """sum_k t^k (x) coeffs[k] over C[t] (x) legs, each coeffs[k] a tensor over legs."""
+    legs = tuple(legs)
+    terms: dict = {}
+    for k, t in dict(coeffs).items():
+        if t.legs != legs:
+            raise PresentationError("t-coefficient has mismatched legs")
+        terms.update({(("t",) * k,) + key: c for key, c in t.terms.items()})
+    return TensorElem((T,) + legs, terms, normal=True)
 
-    __slots__ = ("legs", "coeffs")
 
-    def __init__(self, legs, coeffs):
-        self.legs = tuple(legs)
-        self.coeffs: dict[int, TensorElem] = {}
-        for k, t in dict(coeffs).items():
-            if t.legs != self.legs:
-                raise PresentationError("t-coefficient has mismatched legs")
-            if not t.is_zero:
-                self.coeffs[int(k)] = t
+def _t_degree(x: TensorElem) -> int:
+    """The highest power of t in a tensor over C[t] (x) ..., -1 for zero."""
+    return max((len(k[0]) for k in x.terms), default=-1)
 
-    def degree(self) -> int:
-        return max(self.coeffs, default=-1)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "TPoly") -> "TPoly":
-        if self.legs != other.legs:
-            raise PresentationError("t-polynomials over different tensor legs")
-        out = dict(self.coeffs)
-        add_scaled(out, other.coeffs)
-        return TPoly(self.legs, out)
-
-    def __sub__(self, other: "TPoly") -> "TPoly":
-        return self + other.scale(QRat(-1))
-
-    def scale(self, c) -> "TPoly":
-        c = qrat(c)
-        return TPoly(self.legs, {k: t * c for k, t in self.coeffs.items()})
-
-    def mul(self, other: "TPoly") -> "TPoly":
-        if self.legs != other.legs:
-            raise PresentationError("t-polynomials over different tensor legs")
-        acc: dict[int, TensorElem] = {}
-        for k1, t1 in self.coeffs.items():
-            add_scaled(acc, {k1 + k2: t1.tensor_mul(t2) for k2, t2 in other.coeffs.items()})
-        return TPoly(self.legs, acc)
-
-    def evaluate(self, t0) -> TensorElem:
-        t0 = qrat(t0)
-        return TensorElem(self.legs, combine((t.terms, t0 ** k) for k, t in self.coeffs.items()),
-                          normal=True)
-
-    def map_coeffs(self, fn, legs) -> "TPoly":
-        return TPoly(legs, {k: fn(t) for k, t in self.coeffs.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, TPoly):
-            return NotImplemented
-        return self.legs == other.legs and self.coeffs == other.coeffs
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in sorted(self.coeffs):
-            head = "" if k == 0 else ("t " if k == 1 else f"t^{k} ")
-            parts.append(f"{head}[{self.coeffs[k]}]")
-        return " + ".join(parts)
+def evaluate(x: TensorElem, t0) -> TensorElem:
+    """ev_{t0} on the C[t] leg, t^k -> t0^k, each power formed once."""
+    t0 = qrat(t0)
+    powers = [QRat(1)]
+    for _ in range(_t_degree(x)):
+        powers.append(powers[-1] * t0)
+    return x.contract_leg(0, lambda w: powers[len(w)])
 
 
 class JoinElement:
     """Element of the polynomial model of the equivariant join A * H."""
 
-    __slots__ = ("delta", "tpoly", "cap")
+    __slots__ = ("delta", "tensor", "cap")
 
-    def __init__(self, delta: Coaction, tpoly: TPoly, cap: int = 4):
-        if tpoly.legs != (delta.A, delta.H):
-            raise PresentationError("join element must live over A (x) H")
-        if tpoly.degree() > cap:
-            raise JoinDegreeError(f"t-degree {tpoly.degree()} exceeds the cap {cap}")
+    def __init__(self, delta: Coaction, tensor: TensorElem, cap: int = 4):
+        if tensor.legs != (T, delta.A, delta.H):
+            raise PresentationError("join element must live over C[t] (x) A (x) H")
+        if _t_degree(tensor) > cap:
+            raise JoinDegreeError(f"t-degree {_t_degree(tensor)} exceeds the cap {cap}")
         self.delta = delta
-        self.tpoly = tpoly
+        self.tensor = tensor
         self.cap = cap
 
-    @property
-    def legs(self):
-        return self.tpoly.legs
-
     def degree(self) -> int:
-        return self.tpoly.degree()
+        return _t_degree(self.tensor)
 
     def evaluate(self, t0) -> TensorElem:
-        return self.tpoly.evaluate(t0)
+        return evaluate(self.tensor, t0)
 
     def __add__(self, other: "JoinElement") -> "JoinElement":
         self._same(other)
-        return JoinElement(self.delta, self.tpoly + other.tpoly, self.cap)
+        return JoinElement(self.delta, self.tensor + other.tensor, self.cap)
 
     def __sub__(self, other: "JoinElement") -> "JoinElement":
         self._same(other)
-        return JoinElement(self.delta, self.tpoly - other.tpoly, self.cap)
+        return JoinElement(self.delta, self.tensor - other.tensor, self.cap)
 
     def _same(self, other: "JoinElement"):
         if self.delta is not other.delta:
             raise PresentationError("join elements over different coactions")
 
     def star(self) -> "JoinElement":
-        return JoinElement(self.delta,
-                           self.tpoly.map_coeffs(structure._star_tensor, self.legs),
-                           self.cap)
+        return JoinElement(self.delta, structure._star_tensor(self.tensor), self.cap)
 
     def __eq__(self, other):
         if not isinstance(other, JoinElement):
             return NotImplemented
-        return self.delta is other.delta and self.tpoly == other.tpoly
+        return self.delta is other.delta and self.tensor == other.tensor
 
     def __str__(self):
-        return str(self.tpoly)
+        return str(self.tensor)
 
 
 def join_unit(delta: Coaction, cap: int = 4) -> JoinElement:
-    return JoinElement(delta, TPoly((delta.A, delta.H),
-                                    {0: TensorElem.unit((delta.A, delta.H))}), cap)
+    return JoinElement(delta, TensorElem.unit((T, delta.A, delta.H)), cap)
 
 
 def join_path(delta: Coaction, h: NCPoly, a: NCPoly, cap: int = 4) -> JoinElement:
@@ -167,10 +124,7 @@ def join_bump(delta: Coaction, z: TensorElem, cap: int = 4) -> JoinElement:
 
 def join_product(x: JoinElement, y: JoinElement) -> JoinElement:
     x._same(y)
-    prod = x.tpoly.mul(y.tpoly)
-    if prod.degree() > x.cap:
-        raise JoinDegreeError(f"product degree {prod.degree()} exceeds the cap {x.cap}")
-    return JoinElement(x.delta, prod, x.cap)
+    return JoinElement(x.delta, x.tensor.tensor_mul(y.tensor), x.cap)
 
 
 def join_membership(x: JoinElement, d_a: int) -> Report:
@@ -213,12 +167,11 @@ def _solve_coaction_membership(delta: Coaction, target: TensorElem, d_a: int):
     return None
 
 
-def join_coaction(x: JoinElement) -> TPoly:
-    """id (x) Delta on every coefficient; the value lives over A (x) H (x) H."""
+def join_coaction(x: JoinElement) -> TensorElem:
+    """id (x) id (x) Delta; the value lives over C[t] (x) A (x) H (x) H."""
     H = x.delta.H
-    coproduct = structure._require_hopf(H).delta
-    return x.tpoly.map_coeffs(lambda t: t.expand_leg(1, coproduct.apply_word, legs_hint=(H, H)),
-                              (x.delta.A, H, H))
+    return x.tensor.expand_leg(2, structure._require_hopf(H).delta.apply_word,
+                               legs_hint=(H, H))
 
 
 def join_coaction_membership(x: JoinElement, d_a: int) -> Report:
@@ -227,7 +180,7 @@ def join_coaction_membership(x: JoinElement, d_a: int) -> Report:
     rep = Report()
     A, H = x.delta.A, x.delta.H
     co = join_coaction(x)
-    at0 = co.evaluate(0)
+    at0 = evaluate(co, 0)
     ok0 = all(k[0] == EMPTY for k in at0.terms)
     rep.add("coacted-boundary-zero", ok0,
             "value lies in C (x) H (x) H" if ok0 else "A-leg nontrivial",
@@ -236,7 +189,7 @@ def join_coaction_membership(x: JoinElement, d_a: int) -> Report:
     _require_counital(x.delta)
     at1 = x.evaluate(1)
     ok1 = (max((len(k[0]) for k in at1.terms), default=-1) <= d_a
-           and at1.expand_leg(0, x.delta.apply_word, legs_hint=(A, H)) == co.evaluate(1))
+           and at1.expand_leg(0, x.delta.apply_word, legs_hint=(A, H)) == evaluate(co, 1))
     rep.add("coacted-boundary-one", ok1,
             "value lies in (delta (x) id)(A (x) H)" if ok1 else "boundary escapes",
             tag="x~(1) in (delta (x) id)(A (x) H)")
@@ -244,18 +197,12 @@ def join_coaction_membership(x: JoinElement, d_a: int) -> Report:
 
 
 def join_coassociativity(x: JoinElement) -> bool:
-    """Both iterated coactions agree; checked slicewise on the H-leg so the
-    tensor degree stays within 3."""
+    """Both iterated coactions agree: Delta on either H-leg of the coacted x."""
     H = x.delta.H
     coproduct = structure._require_hopf(H).delta
-    for t in x.tpoly.coeffs.values():
-        for _, h_slice in t.grouped(0).items():
-            d2 = coproduct.apply(h_slice)
-            left = d2.expand_leg(0, coproduct.apply_word, legs_hint=(H, H))
-            right = d2.expand_leg(1, coproduct.apply_word, legs_hint=(H, H))
-            if left != right:
-                return False
-    return True
+    co = join_coaction(x)
+    return (co.expand_leg(2, coproduct.apply_word, legs_hint=(H, H))
+            == co.expand_leg(3, coproduct.apply_word, legs_hint=(H, H)))
 
 
 def counit_character(alg: Presentation) -> Character:
@@ -281,8 +228,7 @@ def chi_equivariance(x: JoinElement, chi: Character, t0=Fraction(1, 2)) -> bool:
     identity of the polynomial model, true of every character and element,
     join member or not (x + t a (x) g, which fails boundary-one, passes)."""
     lhs = structure.coproduct(chi_collapse(x, chi, t0))
-    co = join_coaction(x)
-    at = co.evaluate(qrat(Fraction(t0)))
+    at = evaluate(join_coaction(x), qrat(Fraction(t0)))
     rhs = at.contract_leg(0, chi.on_word)
     return lhs == rhs
 

@@ -193,15 +193,8 @@ def coproduct_word(alg: Presentation, w: Word) -> TensorElem:
     return _require_hopf(alg).delta.apply_word(w)
 
 
-def coproduct(p: NCPoly, parts: int = 2) -> TensorElem:
-    """Iterated coproduct: Delta for parts=2, (Delta (x) id) o Delta for parts=3."""
-    delta = _require_hopf(p.alg).delta
-    if parts not in (2, 3):
-        raise ValueError("coproduct splits into 2 or 3 parts")
-    out = TensorElem.from_poly(p).expand_leg(0, delta.apply_word, legs_hint=(p.alg, p.alg))
-    if parts == 3:
-        out = out.expand_leg(0, delta.apply_word, legs_hint=(p.alg, p.alg))
-    return out
+def coproduct(p: NCPoly) -> TensorElem:
+    return _require_hopf(p.alg).delta.apply(p)
 
 
 def counit_word(alg: Presentation, w: Word) -> QRat:

@@ -1,7 +1,10 @@
-"""Formal tensors of noncommutative polynomials, degree 1 to 3.
+"""Formal tensors of noncommutative polynomials, with any number of legs.
 
 A TensorElem is a finite sum of scalar-weighted tuples of words; each leg is
-tagged with the presentation it lives in and kept in normal form.
+tagged with the presentation it lives in and kept in normal form.  The leg
+maps (`map_leg`, `expand_leg`, `contract_leg`) take normal images and so do
+not normalize their results again; products (`tensor_mul`, `multiply_legs`)
+do.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ class TensorElem:
 
     def __init__(self, legs, terms, normal: bool = False):
         self.legs: tuple[Presentation, ...] = tuple(legs)
-        if not 1 <= len(self.legs) <= 3:
-            raise LegMismatchError("tensor degree must be 1, 2 or 3")
+        if not self.legs:
+            raise LegMismatchError("a tensor needs at least one leg")
         if normal:
             self.terms = dict(terms)
         else:
@@ -136,7 +139,7 @@ class TensorElem:
         return TensorElem(legs, acc, normal=True)
 
     def map_leg(self, i: int, fn, target: Presentation | None = None) -> "TensorElem":
-        """Apply a linear map word -> NCPoly to leg i."""
+        """Apply a linear map word -> NCPoly (a normal image) to leg i."""
         legs = list(self.legs)
         out_leg = target
         acc: dict = {}
@@ -148,10 +151,10 @@ class TensorElem:
         if out_leg is None:
             out_leg = legs[i]
         legs[i] = out_leg
-        return TensorElem(tuple(legs), acc)
+        return TensorElem(tuple(legs), acc, normal=True)
 
     def expand_leg(self, i: int, fn, legs_hint=None) -> "TensorElem":
-        """Apply a map word -> TensorElem to leg i, splicing its legs in place."""
+        """Apply a map word -> TensorElem to leg i, splicing its (normal) legs in place."""
         legs = None
         acc: dict = {}
         for k, c in self.terms.items():
@@ -164,21 +167,21 @@ class TensorElem:
                 raise LegMismatchError("cannot expand a leg of the zero tensor "
                                        "without knowing the image legs")
             legs = self.legs[:i] + tuple(legs_hint) + self.legs[i + 1:]
-        return TensorElem(legs, acc)
+        return TensorElem(legs, acc, normal=True)
 
     def contract_leg(self, i: int, fn) -> "TensorElem | NCPoly":
-        """Contract leg i with a functional word -> QRat."""
+        """Contract leg i with a functional word -> QRat; at least one leg must remain."""
         legs = self.legs[:i] + self.legs[i + 1:]
+        if not legs:
+            raise LegMismatchError("cannot contract the only leg of a tensor")
         acc: dict = {}
         for k, c in self.terms.items():
             s = fn(k[i])
             if not s.is_zero:
                 add_scaled(acc, {k[:i] + k[i + 1:]: c}, s)
-        if len(legs) == 0:
-            raise LegMismatchError("cannot contract the last leg; use scalar_value")
         if len(legs) == 1:
-            return NCPoly(legs[0], {k[0]: c for k, c in acc.items()})
-        return TensorElem(legs, acc)
+            return NCPoly(legs[0], {k[0]: c for k, c in acc.items()}, normal=True)
+        return TensorElem(legs, acc, normal=True)
 
     def grouped(self, i: int) -> dict:
         """Group terms by the word on leg i: word -> TensorElem/NCPoly of the rest."""

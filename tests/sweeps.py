@@ -27,6 +27,13 @@ sum for each term: the oracle for the extensions summed in one dict through
 join boundary memberships by elimination over every basis word up to the
 degree bound: the oracles for the counit projection of `qgalois.join`.
 
+`t_slices` reads a tensor over C[t] (x) ... back as a polynomial in t,
+t-degree -> tensor over the other legs; `reference_t_product`,
+`reference_t_map` and `reference_t_evaluate` compute with polynomials in t
+whose coefficients are tensors, one `tensor_mul`, leg map or scaled sum per
+slice: the oracles for `join_product`, `JoinElement.star`, `join_coaction`
+and evaluation, which act on the whole tensor at once.
+
 `sweep_sigma_diagram` compares sigma' o f with f o sigma on every basis
 word up to a degree: the oracle for `cherngalois.check_sigma_diagram`, which
 certifies the diagram on the connection domain.
@@ -274,6 +281,36 @@ def reference_linear(zero, terms: dict, word_map):
     out = zero
     for w, c in terms.items():
         out = out + word_map(w) * c
+    return out
+
+
+def t_slices(x) -> dict:
+    """A tensor over C[t] (x) L1 (x) ... as t-degree -> tensor over L1 (x) ..."""
+    return {len(w): rest for w, rest in x.grouped(0).items()}
+
+
+def reference_t_product(xs: dict, ys: dict) -> dict:
+    """The product of two t-polynomials: slice k is the sum of
+    xs[k1] ys[k2] over k1 + k2 = k, one legwise product per pair."""
+    out: dict = {}
+    for k1, a in xs.items():
+        for k2, b in ys.items():
+            p = a.tensor_mul(b)
+            out[k1 + k2] = out[k1 + k2] + p if k1 + k2 in out else p
+    return {k: v for k, v in out.items() if not v.is_zero}
+
+
+def reference_t_map(xs: dict, fn) -> dict:
+    """fn applied to every slice, zero images dropped."""
+    images = {k: fn(v) for k, v in xs.items()}
+    return {k: v for k, v in images.items() if not v.is_zero}
+
+
+def reference_t_evaluate(xs: dict, t0, zero):
+    """sum_k t0^k xs[k], one power and one partial sum per slice."""
+    out = zero
+    for k, v in xs.items():
+        out = out + v * t0 ** k
     return out
 
 

@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from qgalois import presets
+from qgalois import presets, structure
 from qgalois.comodule import Coaction
 from qgalois.join import (Character, JoinDegreeError, JoinElement, TPoly,
                           _solve_coaction_membership, chi_collapse,
-                          chi_equivariance, counit_character, join_coaction, join_coaction_membership,
+                          chi_equivariance, counit_character, evaluate, join_coaction,
+                          join_coaction_membership,
                           join_coassociativity, join_membership, join_path,
                           join_product, join_unit, sample_join_elements)
 from qgalois.ncalg import EMPTY, NCPoly, PresentationError
@@ -16,7 +17,8 @@ from qgalois.presfile import parse_join_element
 from qgalois.scalars import QRat
 from qgalois.tensors import TensorElem
 from sweeps import (certified, reference_coacted_membership,
-                    reference_coaction_membership)
+                    reference_coaction_membership, reference_t_evaluate, reference_t_map,
+                    reference_t_product, t_slices)
 
 
 @pytest.fixture(scope="module")
@@ -79,7 +81,7 @@ def test_join_coaction_boundaries(reg, path_alpha):
 
 def test_join_coaction_on_unit(reg):
     co = join_coaction(join_unit(reg))
-    assert co.evaluate(0) == TensorElem.unit((reg.A, reg.H, reg.H))
+    assert evaluate(co, 0) == TensorElem.unit((reg.A, reg.H, reg.H))
 
 
 def test_join_coassociativity(reg, path_alpha):
@@ -201,7 +203,7 @@ def test_counit_projection_matches_elimination(membership_coactions, name, kind,
     assert _solve_coaction_membership(delta, at1, d) == want
     rep = join_membership(x, d)
     assert certified(rep, {"boundary-one"}) == {"boundary-one": want is not None}
-    co_want = reference_coacted_membership(delta, join_coaction(x).evaluate(1), d)
+    co_want = reference_coacted_membership(delta, evaluate(join_coaction(x), 1), d)
     co_rep = join_coaction_membership(x, d)
     assert certified(co_rep, {"coacted-boundary-one"}) == \
         {"coacted-boundary-one": co_want is not None}
@@ -219,3 +221,38 @@ def test_membership_rejects_a_coaction_that_is_not_counital(suq2):
         join_membership(x, 2)
     with pytest.raises(PresentationError, match="not counital on generator 'g'"):
         join_coaction_membership(x, 2)
+
+
+# -- the join as one tensor against its t-degree slices ------------------------
+
+def _sampled_slices(delta, rng):
+    """t-degree -> tensor over A (x) H for t^0..t^2, with words of degree <= 2."""
+    A, H = delta.A, delta.H
+    a_words, h_words = A.basis_up_to_degree(2), H.basis_up_to_degree(2)
+    return {k: TensorElem((A, H), {(rng.choice(a_words), rng.choice(h_words)):
+                                   QRat(rng.randint(-2, 2)) for _ in range(rng.randint(0, 3))})
+            for k in range(rng.randint(1, 3))}
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(name=st.sampled_from(["regular", "fibration"]), sampled=st.booleans(),
+       seed=st.integers(0, 10**6))
+def test_join_arithmetic_matches_slicewise_reference(membership_coactions, name, sampled, seed):
+    delta = membership_coactions[name]
+    A, H = delta.A, delta.H
+    rng = random.Random(seed)
+    if sampled:
+        x, y = sample_join_elements(delta, rng, count=2)
+    else:
+        x, y = (JoinElement(delta, TPoly((A, H), _sampled_slices(delta, rng)))
+                for _ in range(2))
+    xs, ys = t_slices(x.tensor), t_slices(y.tensor)
+    assert t_slices(join_product(x, y).tensor) == reference_t_product(xs, ys)
+    assert t_slices(x.star().tensor) == reference_t_map(xs, structure._star_tensor)
+    coproduct = H.hopf.delta.apply_word
+    co = reference_t_map(xs, lambda v: v.expand_leg(1, coproduct, legs_hint=(H, H)))
+    assert t_slices(join_coaction(x)) == co
+    for t0 in (QRat(0), QRat(1), QRat(1) / QRat(2)):
+        assert x.evaluate(t0) == reference_t_evaluate(xs, t0, TensorElem.zero((A, H)))
+        assert evaluate(join_coaction(x), t0) == \
+            reference_t_evaluate(co, t0, TensorElem.zero((A, H, H)))

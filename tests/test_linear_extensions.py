@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from qgalois import presets, structure
 from qgalois.cherngalois import Functional, _tau, sigma
-from qgalois.join import TPoly
+from qgalois.join import JoinElement, TPoly
 from qgalois.linalg import combine
 from qgalois.ncalg import NCPoly
 from qgalois.scalars import QRat, q_power, qrat
@@ -94,10 +94,11 @@ def test_tpoly_evaluate(t0, data):
     legs = (delta.A, delta.H)
     coeffs = data.draw(st.dictionaries(st.integers(min_value=0, max_value=4),
                                        polys(delta.A, 2), max_size=4))
-    tp = TPoly(legs, {k: delta.apply(p) for k, p in coeffs.items()})
-    want = reference_linear(TensorElem.zero(legs), {k: t0 ** k for k in tp.coeffs},
-                            tp.coeffs.__getitem__)
-    assert tp.evaluate(t0) == want
+    images = {k: delta.apply(p) for k, p in coeffs.items()}
+    x = JoinElement(delta, TPoly(legs, images))
+    want = reference_linear(TensorElem.zero(legs), {k: t0 ** k for k in images},
+                            images.__getitem__)
+    assert x.evaluate(t0) == want
 
 
 @settings(max_examples=25, deadline=None)

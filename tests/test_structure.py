@@ -93,17 +93,6 @@ def test_inverse_antipode_must_respect_the_relations():
         "Delta, eps, S, S^-1 factor through the quotient"
 
 
-def test_iterated_coproduct(suq2):
-    p = suq2.gen("g")
-    three = structure.coproduct(p, parts=3)
-    d2 = structure.coproduct(p)
-    other = d2.expand_leg(1, lambda w: structure.coproduct_word(suq2, w),
-                          legs_hint=(suq2, suq2))
-    assert three == other
-    with pytest.raises(ValueError):
-        structure.coproduct(p, parts=4)
-
-
 def test_anti_extension_of_the_antipode_table(suq2):
     images = {g.name: structure.antipode(suq2.gen(g.name))
               for g in suq2.generators}

@@ -76,3 +76,21 @@ def test_str_formats(suq2, u1):
                                 ((), ()): QRat(-1), (("g",), ()): QRat(3) / QRat(2)})
     assert str(t) == "-1 (x) 1 - (q+1) a (x) u + 3/2 g (x) 1 - (q^2-1)/q g* (x) u*"
     assert str(TensorElem.zero((suq2, u1))) == "0"
+
+
+def test_contract_only_leg_is_refused_before_any_evaluation(suq2):
+    seen = []
+    with pytest.raises(LegMismatchError, match="only leg") as err:
+        TensorElem.from_poly(suq2.gen("a") + suq2.one()).contract_leg(0, seen.append)
+    assert seen == [] and "scalar_value" not in str(err.value)
+
+
+def test_more_than_three_legs(suq2, u1):
+    # the join coaction lives over C[t] (x) A (x) H (x) H
+    legs = (suq2, u1, suq2, u1)
+    t = TensorElem(legs, {(("g", "a"), ("u",), ("a", "a*"), ("u*", "u")): QRat(1)})
+    assert t.terms == {(("a", "g"), ("u",), (), ()): q_power(-1),
+                       (("a", "g"), ("u",), ("g", "g*"), ()): -q_power(1)}
+    assert t.tensor_mul(TensorElem.unit(legs)) == t
+    with pytest.raises(LegMismatchError):
+        TensorElem((), {})
