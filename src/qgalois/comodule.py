@@ -47,7 +47,7 @@ def verify_coaction(delta: Coaction) -> Report:
         rhs = dv.expand_leg(1, coproduct.apply_word, legs_hint=(H, H))
         if lhs != rhs:
             bad_coassoc.append(w)
-    bad_counit = counit_failures(delta)
+    bad_counit = delta.counit_failures
 
     def _describe(bad):
         if not bad:
@@ -60,24 +60,6 @@ def verify_coaction(delta: Coaction) -> Report:
             tag="(id (x) eps) o delta = id")
     delta.verified = rep.ok
     return rep
-
-
-def counit_failures(delta: Coaction) -> list[Word]:
-    """The generators g with (id (x) eps)(delta(g)) != g, in generator order.
-
-    When the list is empty, (id (x) eps) o delta = id on every element of A:
-    both sides are algebra maps that agree on the generators.  This assumes
-    that eps_H factors through the relations of H, which
-    `structure.verify_hopf_axioms` certifies.
-    """
-    eps = structure._require_hopf(delta.H).counit
-    bad = []
-    for g in delta.A.generators:
-        w = (g.name,)
-        back = delta.apply_word(w).contract_leg(1, eps.on_word)
-        if back != NCPoly(delta.A, {w: QRat(1)}):
-            bad.append(w)
-    return bad
 
 
 def _tensor_key_order(delta: Coaction):

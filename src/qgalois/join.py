@@ -18,7 +18,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import structure
-from .comodule import counit_failures
 from .ncalg import EMPTY, Generator, NCPoly, Presentation, PresentationError
 from .report import Report
 from .scalars import QRat, qrat
@@ -148,7 +147,7 @@ def join_membership(x: JoinElement, d_a: int) -> Report:
 def _require_counital(delta: Coaction):
     """Raise unless (id (x) eps) o delta = id, on which a FAIL of the counit
     projection rests; assumes eps_H respects the relations of H."""
-    bad = counit_failures(delta)
+    bad = delta.counit_failures
     if bad:
         raise PresentationError(
             f"coaction {delta.name} is not counital on generator {' '.join(bad[0])!r}")

@@ -91,9 +91,13 @@ class Presentation:
         self._seam: dict[Word, dict] = {}
         self.hopf = None
         self._validate_rules()
-        self._by_last: dict[str, list[RewriteRule]] = {}
+        # the left sides, each to its first rule, and their lengths
+        self._lhs: dict[Word, RewriteRule] = {}
         for r in self.rules:
-            self._by_last.setdefault(r.lhs[-1], []).append(r)
+            self._lhs.setdefault(r.lhs, r)
+        self._lhs_lengths = sorted({len(lhs) for lhs in self._lhs})
+        # a normal word's tail of maxlen - 1 letters -> the letters it may take
+        self._next_letters: dict[Word, tuple[str, ...]] = {}
         # the q-commutations y x -> c x y, keyed by their left side
         self._swaps: dict[Word, QRat] = {}
         for r in self.rules:
@@ -174,10 +178,14 @@ class Presentation:
     # -- rewriting ------------------------------------------------------------
 
     def _rule_ending(self, w: Word, end: int):
-        """A rule whose left side is the factor of w ending just before `end`."""
-        for r in self._by_last.get(w[end - 1], ()):
-            n = len(r.lhs)
-            if n <= end and w[end - n:end] == r.lhs:
+        """A rule whose left side is the factor of w ending just before `end`:
+        one slice and one lookup in the left-side table per left-side length,
+        shortest first."""
+        for n in self._lhs_lengths:
+            if n > end:
+                break
+            r = self._lhs.get(w[end - n:end])
+            if r is not None:
                 return r
         return None
 
@@ -274,23 +282,31 @@ class Presentation:
     # -- graded bases -----------------------------------------------------------
 
     def basis_up_to_degree(self, d: int) -> list[Word]:
-        """All normal words of length <= d, sorted by term order."""
+        """All normal words of length <= d, in term order.
+
+        Each layer extends the last one, in term order, by the generators in
+        precedence order that leave it normal, so it comes out in term order
+        with no sort.  A new redex ends at the new letter, so those letters
+        depend only on the last maxlen - 1 letters of the word; they are
+        memoized per such tail.
+        """
         if d < 0:
             raise ValueError("degree bound must be nonnegative")
         out = [EMPTY]
         layer = [EMPTY]
-        names = [g.name for g in self.generators]
+        k = max(self._max_rule_len - 1, 0)
         for _ in range(d):
             nxt = []
             for w in layer:
-                for g in names:
-                    cand = w + (g,)
-                    # w is normal, so any new redex must end at the new letter
-                    if self._rule_ending(cand, len(cand)) is None:
-                        nxt.append(cand)
+                tail = w[max(len(w) - k, 0):]
+                gs = self._next_letters.get(tail)
+                if gs is None:
+                    gs = self._next_letters[tail] = tuple(
+                        g.name for g in self.generators
+                        if self._rule_ending(tail + (g.name,), len(tail) + 1) is None)
+                nxt.extend([w + (g,) for g in gs])
             layer = nxt
             out.extend(layer)
-        out.sort(key=self.term_key)
         return out
 
     # -- confluence ---------------------------------------------------------------

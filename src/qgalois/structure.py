@@ -10,6 +10,8 @@ certificates of the Hopf axioms check generators, which covers every degree.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .linalg import combine
 from .ncalg import EMPTY, NCPoly, Presentation, PresentationError, Word, extend_word, format_word
 from .report import Report
@@ -50,6 +52,20 @@ class Coaction:
 
     def __call__(self, p: NCPoly) -> TensorElem:
         return self.apply(p)
+
+    @cached_property
+    def counit_failures(self) -> tuple[Word, ...]:
+        """The generators g with (id (x) eps)(delta(g)) != g, in generator order.
+
+        When there are none, (id (x) eps) o delta = id on every element of A:
+        both sides are algebra maps that agree on the generators.  This
+        assumes that eps_H factors through the relations of H, which
+        `verify_hopf_axioms` certifies.  Computed once: the table is fixed.
+        """
+        eps = _require_hopf(self.H).counit
+        return tuple((g.name,) for g in self.A.generators
+                     if self.apply_word((g.name,)).contract_leg(1, eps.on_word)
+                     != NCPoly(self.A, {(g.name,): QRat(1)}))
 
 
 class Character:

@@ -15,6 +15,12 @@ prefix in front of it, one letter and one nested seam step at a time, with its
 own memo: the oracle for `Presentation._append`, which passes a whole run of
 q-commuting letters in one step.
 
+`reference_rule_ending` scans every rule for a left side ending at a given
+position, and `reference_basis` lists every word up to a length with no left
+side as a factor and sorts it by term order: the oracles for the left-side
+table of `Presentation._rule_ending` and for `basis_up_to_degree`, which
+extends each layer by the letters allowed after a word's tail with no sort.
+
 `reference_extend` folds a word's letters from the unit every time, with no
 memo: the oracle for `ncalg.extend_word`, which starts from the longest
 cached prefix or suffix.
@@ -65,6 +71,7 @@ recursive-descent grammar.
 """
 
 import argparse
+import itertools
 
 from qgalois import structure
 from qgalois.cherngalois import sigma
@@ -204,6 +211,23 @@ def sweep_blocks(e_prime, d) -> dict:
 def certified(rep, names) -> dict:
     """The outcome of each named check in a certificate report."""
     return {c.name: c.passed for c in rep.checks if c.name in names}
+
+
+def reference_rule_ending(alg, w, end: int):
+    """The first rule of alg whose left side is the factor of w ending just
+    before `end`, or None."""
+    return next((r for r in alg.rules
+                 if len(r.lhs) <= end and w[end - len(r.lhs):end] == r.lhs), None)
+
+
+def reference_basis(alg, d: int) -> list:
+    """Every word over the generators of length <= d with no rule left side
+    as a factor, sorted by term order."""
+    names = [g.name for g in alg.generators]
+    words = [w for n in range(d + 1) for w in itertools.product(names, repeat=n)
+             if not any(w[i:i + len(r.lhs)] == r.lhs
+                        for r in alg.rules for i in range(len(w)))]
+    return sorted(words, key=alg.term_key)
 
 
 def reference_normal_form(alg, w, cache: dict) -> dict:

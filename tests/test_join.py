@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qgalois import presets, structure
-from qgalois.comodule import Coaction
+from qgalois.comodule import Coaction, verify_coaction
 from qgalois.join import (Character, JoinDegreeError, JoinElement, TPoly,
                           _solve_coaction_membership, chi_collapse,
                           chi_equivariance, counit_character, evaluate, join_coaction,
@@ -217,10 +217,16 @@ def test_membership_rejects_a_coaction_that_is_not_counital(suq2):
              for g in suq2.generators}
     bad = Coaction("diagonal", suq2, suq2, table)
     x = join_unit(bad)
-    with pytest.raises(PresentationError, match="not counital on generator 'g'"):
-        join_membership(x, 2)
-    with pytest.raises(PresentationError, match="not counital on generator 'g'"):
-        join_coaction_membership(x, 2)
+    # the failure list is formed once per coaction, and every call reads it
+    for _ in range(2):
+        with pytest.raises(PresentationError, match="not counital on generator 'g'"):
+            join_membership(x, 2)
+        with pytest.raises(PresentationError, match="not counital on generator 'g'"):
+            join_coaction_membership(x, 2)
+    assert bad.counit_failures == (("g",), ("g*",))
+    assert bad.counit_failures is bad.counit_failures
+    line = next(c for c in verify_coaction(bad).checks if c.name == "counitality")
+    assert not line.passed and line.detail == "failing generators: g, g*"
 
 
 # -- the join as one tensor against its t-degree slices ------------------------

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -5,12 +6,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qgalois import presets
+from qgalois import join, presets
 from qgalois.ncalg import (EMPTY, Generator, Presentation, PresentationError,
                            TerminationError, format_word)
 from qgalois.presfile import parse_workspace
 from qgalois.scalars import QRat, q_power
-from sweeps import reference_normal_form, reference_seam_fold
+from sweeps import (reference_basis, reference_normal_form, reference_rule_ending,
+                    reference_seam_fold)
 from test_cherngalois import TORUS_SOURCE
 from test_cli import OSCILLATOR
 
@@ -303,3 +305,58 @@ def test_normal_forms_match_the_letter_by_letter_fold(name, data):
     A = _fresh(source, name)
     w = data.draw(runs([g.name for g in A.generators], long_letters))
     assert A.normal_form_word(w) == reference_seam_fold(A, w)
+
+
+# ---------------------------------------------------------------------------
+# the left-side table: `_rule_ending` looks each factor up by length, and
+# `basis_up_to_degree` extends each layer by the letters a word's tail allows
+
+def _cube_free():
+    """x x x -> 0 and x y y -> 0 beside y x -> x y: left sides of lengths 2
+    and 3, so a word's tail is two letters long."""
+    gens = [Generator("x", "x"), Generator("y", "y")]
+    return Presentation("cube-free", gens, [(("y", "x"), {("x", "y"): QRat(1)}),
+                                            (("x", "x", "x"), {}),
+                                            (("x", "y", "y"), {})])
+
+
+@functools.cache
+def _table_algebra(name):
+    if name == "T":
+        return join.T
+    if name == "cube-free":
+        return _cube_free()
+    source, _ = ALGEBRAS[name]
+    return _fresh(source, name)
+
+
+TABLE_ALGEBRAS = sorted(ALGEBRAS) + ["T", "cube-free"]
+
+
+def test_cube_free_tail_is_two_letters():
+    A = _cube_free()
+    assert A._lhs_lengths == [2, 3]
+    assert ("x", "x", "y") in A.basis_up_to_degree(3)
+    assert ("x", "x", "x") not in A.basis_up_to_degree(3)
+    assert A._next_letters[("x", "x")] == ("y",)
+    assert A._next_letters[("x", "y")] == ()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(TABLE_ALGEBRAS), st.integers(0, 6))
+def test_basis_matches_the_reference_in_term_order(name, d):
+    A = _table_algebra(name)
+    assert A.basis_up_to_degree(d) == reference_basis(A, d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(TABLE_ALGEBRAS), st.data())
+def test_rule_ending_matches_the_reference(name, data):
+    A = _table_algebra(name)
+    letters = [g.name for g in A.generators]
+    w = tuple(data.draw(st.lists(st.sampled_from(letters), max_size=8)))
+    end = data.draw(st.integers(0, len(w)))
+    got, want = A._rule_ending(w, end), reference_rule_ending(A, w, end)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got in A.rules and w[end - len(got.lhs):end] == got.lhs
