@@ -21,7 +21,7 @@ from .join import JoinDegreeError, JoinElement, TPoly, chi_collapse, \
     join_coaction_membership, join_coassociativity, join_membership, join_path, \
     join_product, join_unit, sample_join_elements
 from .presfile import PresentationFileError, Workspace, parse_element, \
-    parse_expression, parse_join_element, parse_tensor, parse_workspace
+    parse_expression, parse_tensor, parse_workspace
 from . import presets
 
 __all__ = [name for name in dir() if not name.startswith("_")]

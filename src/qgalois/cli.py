@@ -108,11 +108,23 @@ def _verify_algebra(alg: Presentation) -> Report:
     return rep
 
 
+def _read_input(path: str) -> str:
+    """The text of an --input file; a path that names no readable UTF-8 file,
+    but exists, is an input error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (IsADirectoryError, NotADirectoryError, PermissionError) as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") \
+            from None
+
+
 def _workspace(args):
     """The --input file's workspace, or else the --preset's (and its --corep)."""
     if args.input:
-        with open(args.input, encoding="utf-8") as fh:
-            return parse_workspace(fh.read(), filename=args.input)
+        return parse_workspace(_read_input(args.input), filename=args.input)
     if not args.preset:
         raise InputError(f"{args.command} needs --preset or --input")
     name, n = _parse_preset(args.preset)
@@ -274,8 +286,7 @@ def cmd_report(args) -> int:
     if not args.input:
         raise InputError("report needs --input ARTIFACT.json")
     try:
-        with open(args.input, encoding="utf-8") as fh:
-            payload = json.load(fh)
+        payload = json.loads(_read_input(args.input))
     except FileNotFoundError:
         raise InputError(f"no artifact at {args.input}") from None
     except json.JSONDecodeError as exc:

@@ -8,19 +8,19 @@ coactions, corepresentations, connections and morphisms.
     leg        := sign* [coefficient] word
 
 A coefficient is a product of powers of scalars in Q(q): integers, q, * and /,
-^, and + - inside parentheses; join elements may also use the central symbol
-t.  A word is space-separated generator names, or `1` alone for the unit.  The
-signs of every leg scale the term.  A leg with neither coefficient nor word is
-refused, and so is a trailing sign.  Each power x^e is bounded: its exponent, the
-q- and t-degree of its result and the estimated bit length of its integer
-coefficients.
+^, and + - inside parentheses.  A word is space-separated generator names, or
+`1` alone for the unit.  The signs of every leg scale the term.  A leg with
+neither coefficient nor word is refused, and so is a trailing sign.  Each power
+x^e is bounded: its exponent, the q-degree of its result and the estimated bit
+length of its integer coefficients.  A join element is a tensor over
+(`join.T`, A, H), in which t is a generator of the first leg.
 """
 
 from __future__ import annotations
 
 from .comodule import Coaction, Corepresentation
 from .connection import CoalgebraSpan, StrongConnection, TableLineError
-from .linalg import ONE, add_scaled
+from .linalg import ONE
 from .ncalg import Generator, NCPoly, Presentation, PresentationError
 from .scalars import QRat, qrat
 from .structure import Morphism, attach_hopf
@@ -28,7 +28,7 @@ from .tensors import TensorElem
 
 _RESERVED_NAMES = {"q", "t", "x"}
 
-# largest |e| accepted in a power x^e, and largest q- or t-degree of its
+# largest |e| accepted in a power x^e, and largest q-degree of its
 # result; expanding a power costs time and memory at least linear in both
 MAX_EXPONENT = 1000
 # largest estimated bit length of an integer coefficient of a power's result;
@@ -70,7 +70,7 @@ def _tokenize(text: str, line: int, filename: str):
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             # a trailing star belongs to the name only at a word boundary,
-            # so q*t stays a product while g* is a generator
+            # so q*q stays a product while g* is a generator
             if j < n and text[j] == "*" and \
                     (j + 1 == n or not (text[j + 1].isalnum() or text[j + 1] in "_(")):
                 j += 1
@@ -85,33 +85,13 @@ def _tokenize(text: str, line: int, filename: str):
     return toks
 
 
-# ---------------------------------------------------------------------------
-# scalars extended by the central symbol t: maps t-degree -> QRat
-
-def _t_const(c) -> dict:
-    c = qrat(c)
-    return {} if c.is_zero else {0: c}
-
-
-def _t_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for k1, v1 in a.items():
-        add_scaled(out, {k1 + k2: v2 for k2, v2 in b.items()}, v1)
-    return out
-
-
-def _t_neg(a: dict) -> dict:
-    return {k: -v for k, v in a.items()}
-
-
 class _ExprParser:
-    """The module's expression grammar over tokens, with q always and t when
-    allowed; a coefficient is a `scalar_term`."""
+    """The module's expression grammar over tokens; a coefficient is a
+    `scalar_term` in Q(q)."""
 
-    def __init__(self, toks, allow_t: bool, filename: str, line: int):
+    def __init__(self, toks, filename: str, line: int):
         self.toks = toks
         self.pos = 0
-        self.allow_t = allow_t
         self.filename = filename
         self.line = line
 
@@ -127,24 +107,25 @@ class _ExprParser:
         return t
 
     def expression(self, legs) -> dict:
-        """{tuple-of-words: t-scalar}; legs fixes the tensor degree.  The sign
-        between two terms is read as a sign of the second term's first leg."""
+        """{tuple-of-words: QRat}, with no zero values; legs fixes the tensor
+        degree.  The sign between two terms is read as a sign of the second
+        term's first leg."""
         acc: dict = {}
         while True:
             key, coeff = self.term(legs)
-            add_scaled(acc.setdefault(key, {}), coeff)
+            acc[key] = acc[key] + coeff if key in acc else coeff
             kind, val = self.peek()
             if kind is None:
-                return {k: v for k, v in acc.items() if v}
+                return {k: v for k, v in acc.items() if not v.is_zero}
             if kind not in ("+", "-"):
                 self.error(f"unexpected {val!r}")
 
     def term(self, legs):
-        """(tuple of words, t-scalar) of one term, its words checked against legs."""
-        coeff, words = _t_const(1), []
+        """(tuple of words, QRat) of one term, its words checked against legs."""
+        coeff, words = ONE, []
         while True:
             c, word = self.leg()
-            coeff = _t_mul(coeff, c)
+            coeff = coeff * c
             words.append(word)
             if self.peek()[0] != "tensor":
                 break
@@ -164,61 +145,61 @@ class _ExprParser:
             if self.next()[0] == "-":
                 sign = -sign
         kind, val = self.peek()
-        has_coeff = kind in ("int", "(") or (kind == "ident" and val in ("q", "t"))
-        coeff = self.scalar_term() if has_coeff else _t_const(1)
+        has_coeff = kind in ("int", "(") or (kind == "ident" and val == "q")
+        coeff = self.scalar_term() if has_coeff else ONE
         word = []
         if self.peek() == ("int", 1):
             self.next()  # the unit word, after a coefficient
         else:
             while self.peek()[0] == "ident":
                 name = self.next()[1]
-                if name in ("q", "t"):
-                    self.error(f"{name!r} cannot appear inside a word")
+                if name == "q":
+                    self.error("'q' cannot appear inside a word")
                 word.append(name)
         if not has_coeff and not word:
             self.error("empty tensor leg" if kind in (None, "tensor") else f"unexpected {val!r}")
-        return (coeff if sign > 0 else _t_neg(coeff)), tuple(word)
+        return (coeff if sign > 0 else -coeff), tuple(word)
 
-    def scalar_expr(self) -> dict:
+    def scalar_expr(self) -> QRat:
         v = self.scalar_term()
         while True:
             kind, _ = self.peek()
-            if kind in ("+", "-"):
+            if kind == "+":
                 self.next()
-                add_scaled(v, self.scalar_term(), ONE if kind == "+" else -ONE)
+                v = v + self.scalar_term()
+            elif kind == "-":
+                self.next()
+                v = v - self.scalar_term()
             else:
                 return v
 
-    def scalar_term(self) -> dict:
+    def scalar_term(self) -> QRat:
         v = self.scalar_unary()
         while True:
             kind, _ = self.peek()
             if kind == "*":
                 self.next()
-                v = _t_mul(v, self.scalar_unary())
+                v = v * self.scalar_unary()
             elif kind == "/":
                 self.next()
                 d = self.scalar_unary()
-                if set(d) - {0}:
-                    self.error("cannot divide by an expression containing t")
-                if not d:
+                if d.is_zero:
                     self.error("division by zero")
-                inv = QRat(1) / d[0]
-                v = {k: c * inv for k, c in v.items()}
+                v = v / d
             else:
                 return v
 
-    def scalar_unary(self) -> dict:
+    def scalar_unary(self) -> QRat:
         kind, _ = self.peek()
         if kind == "-":
             self.next()
-            return _t_neg(self.scalar_unary())
+            return -self.scalar_unary()
         if kind == "+":
             self.next()
             return self.scalar_unary()
         return self.scalar_power()
 
-    def scalar_power(self) -> dict:
+    def scalar_power(self) -> QRat:
         v = self.scalar_atom()
         kind, _ = self.peek()
         if kind == "^":
@@ -233,89 +214,57 @@ class _ExprParser:
             e = sign * val
             if abs(e) > MAX_EXPONENT:
                 self.error(f"exponent {e} exceeds the limit {MAX_EXPONENT}")
-            if e < 0 and (set(v) - {0} or not v):
-                self.error("negative powers only apply to nonzero t-free scalars")
+            if e < 0 and v.is_zero:
+                self.error("negative powers only apply to nonzero scalars")
             # degrees multiply, so a tower like (q^1000)^1000 stops here
-            qdeg = max((max(len(c.num), len(c.den)) - 1 for c in v.values()), default=0)
-            for name, deg in (("q", qdeg), ("t", max(v, default=0))):
-                if abs(e) * deg > MAX_EXPONENT:
-                    self.error(f"power of {name}-degree {abs(e) * deg} exceeds the limit "
-                               f"{MAX_EXPONENT}")
+            qdeg = max(len(v.num), len(v.den)) - 1
+            if abs(e) * qdeg > MAX_EXPONENT:
+                self.error(f"power of q-degree {abs(e) * qdeg} exceeds the limit "
+                           f"{MAX_EXPONENT}")
             # so do bit lengths: a sum of n terms below 2^b, raised to e, stays
             # below 2^(e (b + log2 n)), so a tower like (2^1000)^1000 stops too
-            polys = [p for c in v.values() for p in (c.num, c.den)]
-            b = max((abs(x).bit_length() for p in polys for x in p), default=0)
-            n = len(v) * max((sum(1 for x in p if x) for p in polys), default=0)
+            polys = (v.num, v.den)
+            b = max(abs(x).bit_length() for p in polys for x in p)
+            n = max(sum(1 for x in p if x) for p in polys)
             bits = abs(e) * (b + (n - 1).bit_length())
             if bits > MAX_COEFFICIENT_BITS:
                 self.error(f"power with coefficients of an estimated {bits} bits exceeds "
                            f"the limit {MAX_COEFFICIENT_BITS}")
-            if not set(v) - {0}:
-                return _t_const(v.get(0, QRat(0)) ** e)
-            out = _t_const(1)
-            for _ in range(e):
-                out = _t_mul(out, v)
-            return out
+            return v ** e
         return v
 
-    def scalar_atom(self) -> dict:
+    def scalar_atom(self) -> QRat:
         kind, val = self.next()
         if kind == "int":
-            return _t_const(val)
+            return qrat(val)
         if kind == "ident" and val == "q":
-            return _t_const(qrat(QRat((0, 1))))
-        if kind == "ident" and val == "t":
-            if not self.allow_t:
-                self.error("the symbol t is only valid in join elements")
-            return {1: QRat(1)}
+            return QRat((0, 1))
         if kind == "(":
             v = self.scalar_expr()
             kind, _ = self.next()
             if kind != ")":
                 self.error("expected ')'")
             return v
-        self.error("expected integer, 'q', 't' or '('")
+        self.error("expected integer, 'q' or '('")
 
 
-def parse_expression(text: str, legs, allow_t: bool = False,
-                     filename: str = "<string>", line: int = 0):
-    """Parse into {tuple-of-words: t-scalar}; legs fixes the tensor degree."""
+def parse_expression(text: str, legs, filename: str = "<string>", line: int = 0) -> dict:
+    """Parse into {tuple-of-words: QRat}, with no zero values; legs fixes the
+    tensor degree."""
     toks = _tokenize(text, line, filename)
     if not toks:
         raise PresentationFileError("empty expression", filename, line)
-    return _ExprParser(toks, allow_t, filename, line).expression(legs)
-
-
-def _t_free_terms(text: str, legs, filename: str, line: int) -> dict:
-    """Parse into {tuple-of-words: QRat}; without allow_t the grammar refuses
-    t, so every coefficient is {0: c} with c nonzero."""
-    raw = parse_expression(text, legs, filename=filename, line=line)
-    return {key: ts[0] for key, ts in raw.items()}
+    return _ExprParser(toks, filename, line).expression(legs)
 
 
 def parse_element(alg: Presentation, text: str, filename: str = "<string>",
                   line: int = 0) -> NCPoly:
-    terms = _t_free_terms(text, [alg], filename, line)
+    terms = parse_expression(text, [alg], filename, line)
     return NCPoly(alg, {w: c for (w,), c in terms.items()})
 
 
 def parse_tensor(legs, text: str, filename: str = "<string>", line: int = 0) -> TensorElem:
-    return TensorElem(legs, _t_free_terms(text, list(legs), filename, line))
-
-
-def parse_join_element(delta: Coaction, text: str, cap: int = 4,
-                       filename: str = "<string>", line: int = 0):
-    from .join import JoinElement, TPoly
-
-    raw = parse_expression(text, [delta.A, delta.H], allow_t=True,
-                           filename=filename, line=line)
-    coeffs: dict = {}
-    for key, ts in raw.items():
-        for tdeg, c in ts.items():
-            coeffs.setdefault(tdeg, {})[key] = c
-    legs = (delta.A, delta.H)
-    tp = TPoly(legs, {k: TensorElem(legs, terms) for k, terms in coeffs.items()})
-    return JoinElement(delta, tp, cap)
+    return TensorElem(legs, parse_expression(text, list(legs), filename, line))
 
 
 # ---------------------------------------------------------------------------

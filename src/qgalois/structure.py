@@ -34,7 +34,6 @@ class Coaction:
             if t.legs != (A, H):
                 raise PresentationError(f"coaction value for {g.name!r} has wrong legs")
             self.table[g.name] = t
-        self.verified = False
         self._cache: dict[Word, TensorElem] = {EMPTY: TensorElem.unit((A, H))}
 
     def apply_word(self, w: Word) -> TensorElem:

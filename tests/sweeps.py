@@ -77,8 +77,7 @@ from qgalois import structure
 from qgalois.cherngalois import sigma
 from qgalois.linalg import add_scaled, nullspace
 from qgalois.ncalg import NCPoly
-from qgalois.presfile import (PresentationFileError, _ExprParser, _t_const, _t_mul,
-                              _tokenize)
+from qgalois.presfile import PresentationFileError, _ExprParser, _tokenize
 from qgalois.scalars import QRat
 from qgalois.tensors import TensorElem
 
@@ -440,10 +439,9 @@ def _split_terms(toks):
     return [t for t in terms if t[1]]
 
 
-def reference_parse_expression(text: str, legs, allow_t: bool = False,
-                               filename: str = "<string>", line: int = 0):
-    """{tuple-of-words: t-scalar}, split by token rules; an empty leg reads as
-    the unit word and a trailing sign is dropped."""
+def reference_parse_expression(text: str, legs, filename: str = "<string>", line: int = 0):
+    """{tuple-of-words: QRat}, split by token rules; an empty leg reads as the
+    unit word and a trailing sign is dropped."""
     toks = _tokenize(text, line, filename)
     terms = _split_terms(toks)
     if not terms:
@@ -468,12 +466,12 @@ def reference_parse_expression(text: str, legs, allow_t: bool = False,
             raise PresentationFileError(
                 f"term has {len(factors)} tensor legs, expected {len(legs)}",
                 filename, line)
-        coeff = _t_const(sign)
+        coeff = QRat(sign)
         words = []
         for leg, factor in zip(legs, factors):
             split = len(factor)
             for idx, tok in enumerate(factor):
-                if tok[0] == "ident" and tok[1] not in ("q", "t"):
+                if tok[0] == "ident" and tok[1] != "q":
                     split = idx
                     break
             else:
@@ -484,8 +482,8 @@ def reference_parse_expression(text: str, legs, allow_t: bool = False,
             scalar_toks = factor[:split]
             word_toks = factor[split:]
             if scalar_toks:
-                p = _ExprParser(scalar_toks, allow_t, filename, line)
-                coeff = _t_mul(coeff, p.scalar_expr())
+                p = _ExprParser(scalar_toks, filename, line)
+                coeff = coeff * p.scalar_expr()
                 if p.pos != len(scalar_toks):
                     raise PresentationFileError("malformed coefficient", filename, line)
             word = []
@@ -495,14 +493,14 @@ def reference_parse_expression(text: str, legs, allow_t: bool = False,
                 if tok[0] != "ident":
                     raise PresentationFileError(
                         f"unexpected {tok[1]!r} inside a word", filename, line)
-                if tok[1] in ("q", "t"):
+                if tok[1] == "q":
                     raise PresentationFileError(
-                        f"{tok[1]!r} cannot appear inside a word", filename, line)
+                        "'q' cannot appear inside a word", filename, line)
                 if tok[1] not in leg._by_name:
                     raise PresentationFileError(
                         f"unknown generator {tok[1]!r} in {leg.name}", filename, line)
                 word.append(tok[1])
             words.append(tuple(word))
         key = tuple(words)
-        add_scaled(acc.setdefault(key, {}), coeff)
-    return {k: v for k, v in acc.items() if v}
+        acc[key] = acc.get(key, QRat(0)) + coeff
+    return {k: v for k, v in acc.items() if not v.is_zero}

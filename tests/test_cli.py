@@ -144,6 +144,20 @@ def test_report_missing_artifact(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["verify", "report"])
+@pytest.mark.parametrize("kind, message", [("directory", "Is a directory"),
+                                           ("binary", "is not UTF-8 text"),
+                                           ("under-a-file", "Not a directory")])
+def test_unreadable_input_is_an_input_error(capsys, tmp_path, command, kind, message):
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"\x89PNG\r\n\x1a\n\xff\xfe")
+    path = {"directory": tmp_path, "binary": binary, "under-a-file": binary / "x"}[kind]
+    code, out, err = run(capsys, command, "--input", str(path))
+    assert code == 2
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err and out == ""
+
+
 def _cli_process(*argv, **kwargs):
     """`python -m qgalois.cli ARGV` on this checkout's sources."""
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -6,14 +6,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qgalois import presets, structure
 from qgalois.comodule import Coaction, verify_coaction
-from qgalois.join import (Character, JoinDegreeError, JoinElement, TPoly,
+from qgalois.join import (T, Character, JoinDegreeError, JoinElement, TPoly,
                           _solve_coaction_membership, chi_collapse,
                           chi_equivariance, counit_character, evaluate, join_coaction,
                           join_coaction_membership,
                           join_coassociativity, join_membership, join_path,
                           join_product, join_unit, sample_join_elements)
 from qgalois.ncalg import EMPTY, NCPoly, PresentationError
-from qgalois.presfile import parse_join_element
+from qgalois.presfile import parse_tensor
 from qgalois.scalars import QRat
 from qgalois.tensors import TensorElem
 from sweeps import (certified, reference_coacted_membership,
@@ -118,7 +118,7 @@ def test_chi_equivariance(reg, suq2, path_alpha):
 def test_chi_equivariance_holds_off_the_join(reg, suq2, path_alpha):
     # chi acts on the A-leg and Delta on the H-leg, so the identity holds for
     # every element: here one that fails boundary-one, under two characters
-    x = path_alpha + parse_join_element(reg, "t a (x) g")
+    x = path_alpha + JoinElement(reg, parse_tensor((T, reg.A, reg.H), "t (x) a (x) g"))
     assert [c.name for c in join_membership(x, 2).checks if not c.passed] == ["boundary-one"]
     minus = Character(suq2, {"a": QRat(-1), "a*": QRat(-1), "g": QRat(0), "g*": QRat(0)})
     assert minus.verify().ok
@@ -147,10 +147,18 @@ def test_character_relation_witnesses(suq2):
     ]
 
 
-def test_parse_join_element(reg, suq2, path_alpha):
-    text = "1 (x) a - t 1 (x) a + t a (x) a - q*t g* (x) g"
-    parsed = parse_join_element(reg, text)
+def test_parse_join_text(reg, suq2, path_alpha):
+    text = "1 (x) 1 (x) a - t (x) 1 (x) a + t (x) a (x) a - q t (x) g* (x) g"
+    parsed = JoinElement(reg, parse_tensor((T, reg.A, reg.H), text))
     assert parsed == path_alpha
+
+
+def test_join_text_round_trip(reg):
+    # a join element prints as a tensor over (T, A, H) and reads back unchanged
+    xs = sample_join_elements(reg, random.Random(3), 8)
+    products = [join_product(x, y) for x, y in zip(xs, xs[1:])]
+    for x in xs + products:
+        assert parse_tensor((T, reg.A, reg.H), str(x.tensor)) == x.tensor
 
 
 def test_collapse_at_other_points(reg, suq2, path_alpha):

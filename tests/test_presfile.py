@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qgalois import presets
+from qgalois import join, presets
 from qgalois.presfile import (PresentationFileError, parse_element,
                               parse_expression, parse_tensor, parse_workspace)
 from qgalois.scalars import QRat, q_power, qrat
@@ -39,8 +39,6 @@ def test_parse_element_terms(suq2):
     assert parse_element(suq2, "a - -g") == a + g
     assert parse_element(suq2, "a - +q g") == a - g * q_power(1)
     assert parse_element(suq2, "- -a") == a
-    assert parse_expression("(1-t)^2 a", [suq2], allow_t=True) == \
-        {(("a",),): {0: QRat(1), 1: QRat(-2), 2: QRat(1)}}
 
 
 def test_scalar_coefficients(suq2):
@@ -88,9 +86,9 @@ def test_parse_tensor_signed_leg(suq2):
     assert parse("a (x) +g") == parse("a (x) g")
 
 
-def _outcome(parse, text, legs, allow_t):
+def _outcome(parse, text, legs):
     try:
-        return parse(text, legs, allow_t=allow_t)
+        return parse(text, legs)
     except PresentationFileError as exc:
         return exc
 
@@ -99,20 +97,20 @@ def _outcome(parse, text, legs, allow_t):
 @given(st.lists(st.sampled_from(_VOCABULARY), max_size=10))
 def test_grammar_agrees_with_token_splitting(suq2, u1, tokens):
     """The recursive-descent grammar against `reference_parse_expression`, the
-    token-splitting parser it replaced, with 1 and 2 legs, with and without t:
-    the same value, or both refuse.  The one difference: the reference reads an
-    empty tensor leg as the unit word and drops a trailing sign (`a (x)`,
-    `(x) u`, `a g -`), where the grammar refuses with `empty tensor leg`."""
+    token-splitting parser it replaced, with 1, 2 and 3 legs, the last with the
+    join's C[t] leg first, so that t is a letter: the same value, or both
+    refuse.  The one difference: the reference reads an empty tensor leg as the
+    unit word and drops a trailing sign (`a (x)`, `(x) u`, `a g -`), where the
+    grammar refuses with `empty tensor leg`."""
     text = " ".join(tokens)
-    for legs in ([suq2], [suq2, u1]):
-        for allow_t in (False, True):
-            new = _outcome(parse_expression, text, legs, allow_t)
-            old = _outcome(reference_parse_expression, text, legs, allow_t)
-            if isinstance(new, PresentationFileError):
-                assert isinstance(old, PresentationFileError) or \
-                    "empty tensor leg" in str(new), (text, old, new)
-            else:
-                assert new == old, (text, legs, allow_t)
+    for legs in ([suq2], [suq2, u1], [join.T, suq2, u1]):
+        new = _outcome(parse_expression, text, legs)
+        old = _outcome(reference_parse_expression, text, legs)
+        if isinstance(new, PresentationFileError):
+            assert isinstance(old, PresentationFileError) or \
+                "empty tensor leg" in str(new), (text, old, new)
+        else:
+            assert new == old, (text, legs)
 
 
 @pytest.mark.parametrize("text", ["a (x)", "(x) u", "a g -", "a +", "a (x) (x) g"])
@@ -293,6 +291,18 @@ def test_t_rejected_outside_joins(suq2):
         parse_element(suq2, "t a")
 
 
+def test_t_is_a_letter_of_the_join_leg(suq2):
+    # t is the generator of join.T, not a scalar; over suq2 it is an unknown letter
+    assert parse_expression("q t t (x) a", [join.T, suq2]) == {(("t", "t"), ("a",)): q_power(1)}
+    with pytest.raises(PresentationFileError, match=r"^f\.alg:3: unknown generator 't' in suq2"):
+        parse_workspace("algebra suq2\ngenerators a g\nrel g a = t a g\n", "f.alg")
+
+
+def test_zero_coefficients_are_dropped(suq2):
+    for text in ("0 a", "a - a", "q a - q a + 0 g"):
+        assert parse_expression(text, [suq2]) == {}
+
+
 def test_exponent_limit(suq2):
     assert parse_element(suq2, "q^1000 a") == suq2.gen("a") * q_power(1000)
     assert parse_element(suq2, "q^-1000 a") == suq2.gen("a") * q_power(-1000)
@@ -300,15 +310,15 @@ def test_exponent_limit(suq2):
         parse_element(suq2, "q^1001 a")
     with pytest.raises(PresentationFileError, match="exceeds the limit"):
         parse_element(suq2, "q^-1001 a")
-    # the limit holds for the degree of the result, in q and in t
+    # the limit holds for the degree of the result
     assert parse_element(suq2, "(q^2)^-500 a") == suq2.gen("a") * q_power(-1000)
     with pytest.raises(PresentationFileError, match="q-degree 1002 exceeds the limit"):
         parse_element(suq2, "(q^-2)^501 a")
     with pytest.raises(PresentationFileError, match="q-degree 1000000 exceeds the limit"):
         parse_element(suq2, "((q^1000)^1000)^1000 a")
-    assert max(parse_expression("(1 + t^2)^500 a", [suq2], allow_t=True)[(("a",),)]) == 1000
-    with pytest.raises(PresentationFileError, match="t-degree 1002 exceeds the limit"):
-        parse_expression("(1 + t^2)^501 a", [suq2], allow_t=True)
+    assert parse_element(suq2, "(1 + q^2)^500 a") == suq2.gen("a") * (q_power(2) + 1) ** 500
+    with pytest.raises(PresentationFileError, match="q-degree 1002 exceeds the limit"):
+        parse_element(suq2, "(1 + q^2)^501 a")
     # and for the estimated bit length of its coefficients: e (b + log2 n) for
     # n terms of at most b bits, here b = 1001 for 2^1000
     assert parse_element(suq2, "(2^1000)^2 a") == suq2.gen("a") * 2 ** 2000
@@ -316,6 +326,7 @@ def test_exponent_limit(suq2):
     for text in ("(2^1000)^3 a", "(2^1000)^-3 a", "((2^1000)^1000)^1000 a"):
         with pytest.raises(PresentationFileError, match="exceeds the limit 3000"):
             parse_element(suq2, text)
-    assert max(parse_expression("(1 + 2^1000*t)^2 a", [suq2], allow_t=True)[(("a",),)]) == 2
+    assert parse_element(suq2, "(1 + 2^1000*q)^2 a") == \
+        suq2.gen("a") * (2 ** 1000 * q_power(1) + 1) ** 2
     with pytest.raises(PresentationFileError, match="estimated 3006 bits exceeds"):
-        parse_expression("(1 + 2^1000*t)^3 a", [suq2], allow_t=True)
+        parse_element(suq2, "(1 + 2^1000*q)^3 a")
