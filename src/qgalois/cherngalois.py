@@ -17,8 +17,8 @@ from functools import cached_property
 from itertools import chain
 
 from . import structure
-from .comodule import (Coaction, Corepresentation, _flatten, cotensor_basis,
-                       invariant_subspace)
+from .comodule import (Coaction, Corepresentation, _colinear_defects, _flatten,
+                       cotensor_basis, invariant_subspace)
 from .connection import StrongConnection, check_equivariance, pullback_connection
 from .linalg import (ONE, RowSpace, combine, identity, independent_subset,
                      invert_scalar_matrix, kron, nullspace)
@@ -26,7 +26,6 @@ from .ncalg import EMPTY, NCPoly, Presentation, PresentationError
 from .report import Report
 from .scalars import QRat, qrat
 from .structure import Morphism
-from .tensors import TensorElem
 
 
 class ProjectorError(ArithmeticError):
@@ -189,20 +188,6 @@ def _certify_factorization(rep: Report, X, Y, N: int, fname: str = "") -> bool:
             bad or f"{e} = {x} {y} with {y} {x} = I_{N}; so {e}^2 = {x} ({y} {x}) {y} = {e}",
             tag=tag)
     return True
-
-
-def _colinear_defects(delta: Coaction, vectors, C):
-    """(vector, j, difference of the sides) wherever delta(x_j) !=
-    sum_i x_i (x) C_ij, for vectors x over A and a square matrix C over H:
-    C = c for the rows of X and the cotensor vectors, S(c) transposed for the
-    columns of Y."""
-    for r, x in enumerate(vectors):
-        for j, xj in enumerate(x):
-            diff = delta.apply(xj) - TensorElem((delta.A, delta.H), combine(
-                ({(u, v): cv for v, cv in C[i][j].terms.items()}, cu)
-                for i, xi in enumerate(x) for u, cu in xi.terms.items()), normal=True)
-            if not diff.is_zero:
-                yield r, j, diff
 
 
 def _certify_colinearity(rep: Report, X, Y, c: Corepresentation, delta: Coaction,

@@ -214,9 +214,7 @@ def _resolve_pullback_inputs(args):
                       if c.A is f.target and c.H is delta.H]
         if len(candidates) != 1:
             raise InputError("need exactly one coaction on the morphism target")
-        delta2 = candidates[0]
-        f.verify()
-        return f, ell, corep, delta, delta2
+        return f, ell, corep, delta, candidates[0]
     # not preset_workspace: the collapse morphism, and a connection that covers
     # every winding up to |n| for the sigma-diagram check
     name, n = _parse_preset(args.preset or ["podles-line", "1"])

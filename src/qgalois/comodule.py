@@ -3,16 +3,23 @@ finite-dimensional corepresentations, cotensor products at degree truncation,
 and the left coaction built from the inverse antipode.  `Coaction` itself
 lives in `structure`, beside the other maps given on generators; the regular
 coaction is the coproduct Delta of the Hopf data.
+
+A coaction's certificate reads the failure lists that `Coaction` computes
+once.  The invariants B = A^{co H} are the cotensor product with the trivial
+corepresentation, so both come from one elimination, `cotensor_basis`.  One
+colinearity test, `_colinear_defects`, checks a corepresentation's matrix
+coproduct here and a projector's factors and cotensor images in
+`cherngalois`.
 """
 
 from __future__ import annotations
 
 from . import structure
 from .linalg import RowSpace, add_scaled, combine, invert_scalar_matrix, nullspace
-from .ncalg import EMPTY, NCPoly, Presentation, PresentationError, Word, format_word
+from .ncalg import NCPoly, Presentation, PresentationError, Word
 from .report import Report
 from .scalars import QRat, qrat
-from .structure import Coaction
+from .structure import Coaction, generators_detail, relation_report
 from .tensors import TensorElem
 
 
@@ -31,63 +38,22 @@ def verify_coaction(delta: Coaction) -> Report:
     law delta(1) = 1 (x) 1 holds by construction, since delta is extended
     from the generators multiplicatively, starting at 1 (x) 1.
     """
-    A, H = delta.A, delta.H
-    coproduct = structure._require_hopf(H).delta
-    rep = Report()
-    for r in A.rules:
-        img = delta.apply_terms(r.relation())
-        rep.add(f"relation {' '.join(r.lhs)}", img.is_zero,
-                "maps to 0" if img.is_zero else f"maps to {img}",
-                tag="delta extends to an algebra map")
-    gens = [(g.name,) for g in A.generators]
-    bad_coassoc = []
-    for w in gens:
-        dv = delta.apply_word(w)
-        lhs = dv.expand_leg(0, delta.apply_word, legs_hint=(A, H))
-        rhs = dv.expand_leg(1, coproduct.apply_word, legs_hint=(H, H))
-        if lhs != rhs:
-            bad_coassoc.append(w)
-    bad_counit = delta.counit_failures
-
-    def _describe(bad):
-        if not bad:
-            return f"on all {len(gens)} generators; algebra maps, so every degree"
-        return "failing generators: " + ", ".join(format_word(w) for w in bad[:5])
-
-    rep.add("coassociativity", not bad_coassoc, _describe(bad_coassoc),
+    n = len(delta.A.generators)
+    rep = relation_report(delta.A, delta.apply_terms, "delta extends to an algebra map")
+    rep.add("coassociativity", not delta.coassociativity_failures,
+            generators_detail(delta.coassociativity_failures, n, "algebra maps"),
             tag="(delta (x) id) o delta = (id (x) Delta) o delta")
-    rep.add("counitality", not bad_counit, _describe(bad_counit),
+    rep.add("counitality", not delta.counit_failures,
+            generators_detail(delta.counit_failures, n, "algebra maps"),
             tag="(id (x) eps) o delta = id")
     return rep
 
 
-def _tensor_key_order(delta: Coaction):
-    A, H = delta.A, delta.H
-    return lambda k: (A.term_key(k[0]), H.term_key(k[1]))
-
-
 def invariant_subspace(delta: Coaction, d: int) -> list[NCPoly]:
-    """Reduced basis of {b in A_{<=d} : delta(b) = b (x) 1}."""
-    A, H = delta.A, delta.H
-    words = A.basis_up_to_degree(d)
-    columns = []
-    for w in words:
-        t = delta.apply_word(w) - TensorElem((A, H), {(w, EMPTY): QRat(1)})
-        columns.append(dict(t.terms))
-    sols = nullspace(columns, _tensor_key_order(delta))
-    out = []
-    for sol in sols:
-        terms = {w: c for w, c in zip(words, sol) if not c.is_zero}
-        out.append(NCPoly(A, terms, normal=True))
-    return _echelon_polys(out, A)
-
-
-def _echelon_polys(polys: list[NCPoly], alg: Presentation) -> list[NCPoly]:
-    space = RowSpace(alg.term_key)
-    for p in polys:
-        space.insert(dict(p.terms))
-    rows = space.sorted_rows()
-    return [NCPoly(alg, r, normal=True) for r in rows]
+    """Reduced basis of {b in A_{<=d} : delta(b) = b (x) 1}: the cotensor
+    product with the trivial corepresentation, B = A box_H C."""
+    trivial = Corepresentation("trivial", delta.H, [[delta.H.one()]])
+    return [b for (b,) in cotensor_basis(delta, trivial, d)]
 
 
 class Corepresentation:
@@ -112,20 +78,12 @@ class Corepresentation:
 
 
 def verify_corepresentation(c: Corepresentation) -> Report:
-    H = c.H
-    structure._require_hopf(H)
+    """The rows of c are colinear under Delta with matrix c, and eps(c) = I."""
+    coproduct = structure._require_hopf(c.H).delta
     rep = Report()
-    bad_delta = []
-    bad_eps = []
-    for i in range(c.n):
-        for j in range(c.n):
-            rhs = combine(({(u, v): cv for v, cv in c[k, j].terms.items()}, cu)
-                          for k in range(c.n) for u, cu in c[i, k].terms.items())
-            if structure.coproduct(c[i, j]).terms != rhs:
-                bad_delta.append((i, j))
-            want = QRat(1) if i == j else QRat(0)
-            if structure.counit(c[i, j]) != want:
-                bad_eps.append((i, j))
+    bad_delta = [(i, j) for i, j, _ in _colinear_defects(coproduct, c.entries, c.entries)]
+    bad_eps = [(i, j) for i in range(c.n) for j in range(c.n)
+               if structure.counit(c[i, j]) != (QRat(1) if i == j else QRat(0))]
     rep.add("matrix-coproduct", not bad_delta,
             "Delta(c_ij) = sum_k c_ik (x) c_kj" if not bad_delta else f"fails at {bad_delta}",
             tag="Delta(c_ij) = sum_k c_ik (x) c_kj")
@@ -133,6 +91,20 @@ def verify_corepresentation(c: Corepresentation) -> Report:
             "eps(c_ij) = delta_ij" if not bad_eps else f"fails at {bad_eps}",
             tag="eps(c_ij) = delta_ij")
     return rep
+
+
+def _colinear_defects(delta: Coaction, vectors, C):
+    """(vector, j, difference of the sides) wherever delta(x_j) !=
+    sum_i x_i (x) C_ij, for vectors x over A and a square matrix C over H:
+    C = c for the rows of c itself under Delta, for the rows of a projector's
+    X and for the cotensor vectors, S(c) transposed for the columns of Y."""
+    for r, x in enumerate(vectors):
+        for j, xj in enumerate(x):
+            diff = delta.apply(xj) - TensorElem((delta.A, delta.H), combine(
+                ({(u, v): cv for v, cv in C[i][j].terms.items()}, cu)
+                for i, xi in enumerate(x) for u, cu in xi.terms.items()), normal=True)
+            if not diff.is_zero:
+                yield r, j, diff
 
 
 def contragredient(c: Corepresentation) -> Corepresentation:

@@ -472,9 +472,6 @@ class NCPoly:
         """Length of the longest word; -1 for the zero polynomial."""
         return max((len(w) for w in self.terms), default=-1)
 
-    def coefficient(self, w: Word) -> QRat:
-        return self.terms.get(tuple(w), QRat(0))
-
     def constant_term(self) -> QRat:
         return self.terms.get(EMPTY, QRat(0))
 

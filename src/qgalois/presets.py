@@ -139,19 +139,13 @@ def trivial_corep(alg: Presentation) -> Corepresentation:
 def u1_corep(n: int) -> Corepresentation:
     """The one-dimensional corepresentation [u^n] of the circle."""
     H = u1()
-    name = "u" if n >= 0 else "u*"
-    word = tuple([name] * abs(n))
-    return Corepresentation(f"u^{n}", H, [[NCPoly(H, {word: QRat(1)})]])
+    return Corepresentation(f"u^{n}", H, [[_u_power_word(H, n)]])
 
 
-def u_span(include_unit: bool = True) -> CoalgebraSpan:
-    """Span of the fundamental matrix entries (plus the coaugmentation 1)."""
-    A = suq2()
-    c = fundamental_corep()
-    elements = [c[i, j] for i in range(2) for j in range(2)]
-    if include_unit:
-        elements.append(A.one())
-    return CoalgebraSpan(A, elements)
+def u_span() -> CoalgebraSpan:
+    """Span of the fundamental matrix entries and the coaugmentation 1."""
+    A, c = suq2(), fundamental_corep()
+    return CoalgebraSpan(A, [c[i, j] for i in range(2) for j in range(2)] + [A.one()])
 
 
 @lru_cache(maxsize=1)

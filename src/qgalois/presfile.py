@@ -397,8 +397,9 @@ def _build_algebra(ws: Workspace, block, filename: str):
                                         filename, block["line"])
         gen_names = order
     gens = [Generator(g, stars.get(g, g), weights.get(g, 1)) for g in gen_names]
-    # two-stage build: parse relations against a rule-free copy for words
-    proto = Presentation(name + "!proto", gens)
+    # two-stage build: parse relations against a rule-free copy for words; it
+    # carries the algebra's name, which messages about the relations print
+    proto = Presentation(name, gens)
     rules = []
     for lineno, body in rels:
         if "=" not in body:

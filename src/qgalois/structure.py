@@ -6,6 +6,9 @@ words by one prefix fold (`ncalg.extend_word`) with one cache.  The Hopf data
 of a presentation are instances of them: Delta is the regular coaction of H
 on itself, eps a character, S and S^-1 anti-multiplicative morphisms.  The
 certificates of the Hopf axioms check generators, which covers every degree.
+Each certificate clause has one implementation: `relation_report` checks that
+a map kills every relation, `generators_detail` words a check on generators,
+and a coaction computes its coassociativity and counit failures once.
 """
 
 from __future__ import annotations
@@ -17,6 +20,25 @@ from .ncalg import EMPTY, NCPoly, Presentation, PresentationError, Word, extend_
 from .report import Report
 from .scalars import QRat, qrat
 from .tensors import TensorElem
+
+
+def relation_report(alg: Presentation, image, tag: str) -> Report:
+    """One `relation <lhs>` check per rule of alg: the image of lhs - rhs
+    under a linear map on word -> coefficient dicts must be zero."""
+    rep = Report()
+    for r in alg.rules:
+        img = image(r.relation())
+        rep.add(f"relation {' '.join(r.lhs)}", img.is_zero,
+                "maps to 0" if img.is_zero else f"maps to {img}", tag=tag)
+    return rep
+
+
+def generators_detail(bad, count: int, why: str) -> str:
+    """The detail of a check on `count` generators: why it covers every
+    degree when none fail, else the first five failing generators."""
+    if not bad:
+        return f"on all {count} generators; {why}, so every degree"
+    return "failing generators: " + ", ".join(format_word(w) for w in bad[:5])
 
 
 class Coaction:
@@ -51,6 +73,24 @@ class Coaction:
 
     def __call__(self, p: NCPoly) -> TensorElem:
         return self.apply(p)
+
+    @cached_property
+    def coassociativity_failures(self) -> tuple[Word, ...]:
+        """The generators g with (delta (x) id)(delta(g)) != (id (x) Delta)(delta(g)),
+        in generator order.
+
+        When there are none and delta is an algebra map, both sides agree on
+        every element of A, as both are algebra maps.  Computed once: the
+        table is fixed.
+        """
+        A, H = self.A, self.H
+        coproduct = _require_hopf(H).delta
+
+        def fails(w: Word) -> bool:
+            dv = self.apply_word(w)
+            return (dv.expand_leg(0, self.apply_word, legs_hint=(A, H))
+                    != dv.expand_leg(1, coproduct.apply_word, legs_hint=(H, H)))
+        return tuple((g.name,) for g in A.generators if fails((g.name,)))
 
     @cached_property
     def counit_failures(self) -> tuple[Word, ...]:
@@ -96,12 +136,7 @@ class Character:
         return self.apply_terms(p.terms)
 
     def verify(self) -> Report:
-        rep = Report()
-        for r in self.alg.rules:
-            val = self.apply_terms(r.relation())
-            rep.add(f"relation {' '.join(r.lhs)}", val.is_zero,
-                    "character kills the relation" if val.is_zero else f"value {val}",
-                    tag="chi(relation) = 0")
+        rep = relation_report(self.alg, self.apply_terms, "chi(relation) = 0")
         star_ok = all(self.values[g.name] == self.values[g.star]
                       for g in self.alg.generators)
         rep.add("star-compatibility", star_ok,
@@ -157,12 +192,7 @@ class Morphism:
 
     def verify(self) -> Report:
         """Relations map to zero; images are star-compatible."""
-        rep = Report()
-        for r in self.source.rules:
-            img = self.apply_terms(r.relation())
-            rep.add(f"relation {' '.join(r.lhs)}", img.is_zero,
-                    "maps to 0" if img.is_zero else f"maps to {img}",
-                    tag="f(relation) = 0")
+        rep = relation_report(self.source, self.apply_terms, "f(relation) = 0")
         bad = [g.name for g in self.source.generators
                if self.apply_word((g.star,)) != self.images[g.name].star()]
         rep.add("star-compatibility", not bad,
@@ -253,17 +283,13 @@ def verify_hopf_axioms(alg: Presentation) -> Report:
                 "; ".join(bad) or "structure maps kill the relation",
                 tag="Delta, eps, S, S^-1 factor through the quotient")
     gens = [(g.name,) for g in alg.generators]
-    bad_coassoc, bad_counit, bad_antipode, bad_sinv, bad_star = [], [], [], [], []
+    # coassociativity and the right counit law are the regular coaction's own
+    bad_coassoc, right_counit = h.delta.coassociativity_failures, h.delta.counit_failures
+    bad_counit, bad_antipode, bad_sinv, bad_star = [], [], [], []
     for w in gens:
         p = NCPoly(alg, {w: QRat(1)})
         d2 = h.delta.apply_word(w)
-        left3 = d2.expand_leg(0, h.delta.apply_word, legs_hint=(alg, alg))
-        right3 = d2.expand_leg(1, h.delta.apply_word, legs_hint=(alg, alg))
-        if left3 != right3:
-            bad_coassoc.append(w)
-        eps_l = d2.contract_leg(0, h.counit.on_word)
-        eps_r = d2.contract_leg(1, h.counit.on_word)
-        if eps_l != p or eps_r != p:
+        if w in right_counit or d2.contract_leg(0, h.counit.on_word) != p:
             bad_counit.append(w)
         target = alg.one() * h.counit.on_word(w)
         s_l = d2.map_leg(0, h.antipode.apply_word).multiply_legs()
@@ -274,23 +300,17 @@ def verify_hopf_axioms(alg: Presentation) -> Report:
             bad_sinv.append(w)
         if coproduct(p.star()) != _star_tensor(d2):
             bad_star.append(w)
-
-    def _describe(bad, why):
-        if not bad:
-            return f"on all {len(gens)} generators; {why}, so every degree"
-        return "failing generators: " + ", ".join(format_word(w) for w in bad[:5])
-
-    rep.add("coassociativity", not bad_coassoc, _describe(bad_coassoc, "algebra maps"),
-            tag="(Delta (x) id) o Delta = (id (x) Delta) o Delta")
-    rep.add("counit-laws", not bad_counit, _describe(bad_counit, "algebra maps"),
-            tag="(eps (x) id) o Delta = id = (id (x) eps) o Delta")
-    rep.add("antipode-law", not bad_antipode,
-            _describe(bad_antipode, "closed under products"),
-            tag="m o (S (x) id) o Delta = eta o eps = m o (id (x) S) o Delta")
-    rep.add("antipode-inverse", not bad_sinv, _describe(bad_sinv, "algebra maps"),
-            tag="S^-1 o S = id = S o S^-1")
-    rep.add("star-coalgebra", not bad_star, _describe(bad_star, "anti-algebra maps"),
-            tag="Delta o * = (* (x) *) o Delta")
+    for name, bad, why, tag in (
+            ("coassociativity", bad_coassoc, "algebra maps",
+             "(Delta (x) id) o Delta = (id (x) Delta) o Delta"),
+            ("counit-laws", bad_counit, "algebra maps",
+             "(eps (x) id) o Delta = id = (id (x) eps) o Delta"),
+            ("antipode-law", bad_antipode, "closed under products",
+             "m o (S (x) id) o Delta = eta o eps = m o (id (x) S) o Delta"),
+            ("antipode-inverse", bad_sinv, "algebra maps", "S^-1 o S = id = S o S^-1"),
+            ("star-coalgebra", bad_star, "anti-algebra maps",
+             "Delta o * = (* (x) *) o Delta")):
+        rep.add(name, not bad, generators_detail(bad, len(gens), why), tag=tag)
     return rep
 
 

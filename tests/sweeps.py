@@ -40,6 +40,11 @@ whose coefficients are tensors, one `tensor_mul`, leg map or scaled sum per
 slice: the oracles for `join_product`, `JoinElement.star`, `join_coaction`
 and evaluation, which act on the whole tensor at once.
 
+`reference_invariant_subspace` solves delta(b) = b (x) 1 by its own
+elimination over every basis word up to the degree and reduces the solutions
+in a second one: the oracle for `comodule.invariant_subspace`, which reads the
+invariants as the cotensor product with the trivial corepresentation.
+
 `sweep_sigma_diagram` compares sigma' o f with f o sigma on every basis
 word up to a degree: the oracle for `cherngalois.check_sigma_diagram`, which
 certifies the diagram on the connection domain.
@@ -75,7 +80,7 @@ import itertools
 
 from qgalois import structure
 from qgalois.cherngalois import sigma
-from qgalois.linalg import add_scaled, nullspace
+from qgalois.linalg import RowSpace, add_scaled, nullspace
 from qgalois.ncalg import NCPoly
 from qgalois.presfile import PresentationFileError, _ExprParser, _tokenize
 from qgalois.scalars import QRat
@@ -370,6 +375,17 @@ def reference_coacted_membership(delta, target, d: int):
         columns, variables, target,
         lambda k: (A.term_key(k[0]), H.term_key(k[1]), H.term_key(k[2])))
     return None if sol is None else TensorElem((A, H), sol, normal=True)
+
+
+def reference_invariant_subspace(delta, d: int) -> list:
+    A, H = delta.A, delta.H
+    words = A.basis_up_to_degree(d)
+    columns = [dict((delta.apply_word(w) - TensorElem((A, H), {(w, ()): QRat(1)})).terms)
+               for w in words]
+    space = RowSpace(A.term_key)
+    for sol in nullspace(columns, lambda k: (A.term_key(k[0]), H.term_key(k[1]))):
+        space.insert({w: c for w, c in zip(words, sol) if not c.is_zero})
+    return [NCPoly(A, row, normal=True) for row in space.sorted_rows()]
 
 
 def reference_parser() -> argparse.ArgumentParser:

@@ -9,7 +9,7 @@ from qgalois.ncalg import PresentationError
 from qgalois.scalars import QRat, q_power
 from qgalois.tensors import TensorElem
 from qgalois import presets
-from sweeps import certified, sweep_coaction
+from sweeps import certified, reference_invariant_subspace, sweep_coaction
 
 
 def test_fibration_coaction_verifies(fibration):
@@ -150,11 +150,15 @@ def test_cotensor_regular_fundamental(regular_suq2, fundamental):
                 assert lhs == rhs
 
 
-def test_cotensor_trivial_corep_equals_invariants(fibration, suq2, u1):
-    c = presets.trivial_corep(u1)
-    cot = cotensor_basis(fibration, c, 2)
-    inv = invariant_subspace(fibration, 2)
-    assert [vec[0] for vec in cot] == inv
+def test_cotensor_trivial_corep_equals_invariants(fibration, regular_suq2, regular_u1,
+                                                  suq2, u1):
+    # invariant_subspace is the cotensor with the trivial corepresentation; the
+    # reference solves delta(b) = b (x) 1 by its own two eliminations
+    trivial = Coaction("trivial_suq2", suq2, u1, {g.name: TensorElem(
+        (suq2, u1), {((g.name,), ()): QRat(1)}) for g in suq2.generators})
+    for delta in (fibration, regular_suq2, regular_u1, trivial):
+        for d in range(5):
+            assert invariant_subspace(delta, d) == reference_invariant_subspace(delta, d)
 
 
 def test_cotensor_trivial_corep_all_presets(fibration, regular_suq2, regular_u1,

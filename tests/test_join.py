@@ -138,12 +138,12 @@ def test_character_relation_witnesses(suq2):
     # the all-ones character sends each relation to the value of lhs - rhs
     ones = Character(suq2, {"a": QRat(1), "a*": QRat(1), "g": QRat(1), "g*": QRat(1)})
     assert [(c.name, c.detail) for c in ones.verify().failures()] == [
-        ("relation g a", "value (q-1)/q"),
-        ("relation g* a", "value (q-1)/q"),
-        ("relation g a*", "value -q+1"),
-        ("relation g* a*", "value -q+1"),
-        ("relation a a*", "value q^2"),
-        ("relation a* a", "value 1"),
+        ("relation g a", "maps to (q-1)/q"),
+        ("relation g* a", "maps to (q-1)/q"),
+        ("relation g a*", "maps to -q+1"),
+        ("relation g* a*", "maps to -q+1"),
+        ("relation a a*", "maps to q^2"),
+        ("relation a* a", "maps to 1"),
     ]
 
 

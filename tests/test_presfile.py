@@ -298,6 +298,13 @@ def test_t_is_a_letter_of_the_join_leg(suq2):
         parse_workspace("algebra suq2\ngenerators a g\nrel g a = t a g\n", "f.alg")
 
 
+def test_relation_errors_name_the_algebra():
+    # relations are read against a rule-free copy of the algebra that carries its name
+    with pytest.raises(PresentationFileError) as exc:
+        parse_workspace("algebra s\ngenerators a b\nrel b a = z a b\n", "f.alg")
+    assert str(exc.value) == "f.alg:3: unknown generator 'z' in s"
+
+
 def test_zero_coefficients_are_dropped(suq2):
     for text in ("0 a", "a - a", "q a - q a + 0 g"):
         assert parse_expression(text, [suq2]) == {}

@@ -4,7 +4,7 @@ from qgalois import presets, structure
 from qgalois.ncalg import PresentationError
 from qgalois.presfile import parse_workspace
 from qgalois.scalars import QRat, q_power
-from qgalois.comodule import regular_coaction
+from qgalois.comodule import regular_coaction, verify_coaction
 from qgalois.join import counit_character
 from qgalois.structure import Character, Coaction, Morphism, verify_hopf_axioms
 from qgalois.tensors import TensorElem
@@ -81,6 +81,23 @@ def test_counit_fault_fails_certificate_and_sweep():
     assert all(c.passed for c in rep.checks if c.name.startswith("relation-compat"))
     assert not certified(rep, {"counit-laws"})["counit-laws"]
     assert not sweep_hopf_axioms(u1, 6)["counit-laws"]
+
+
+def test_coassociativity_fault_fails_both_certificates_and_the_sweep():
+    # Delta(u) = u u (x) u*, Delta(u*) = u* u* (x) u respects u u* = 1 = u* u, but
+    # (Delta (x) id) Delta(u) = u^4 (x) u*^2 (x) u* and (id (x) Delta) Delta(u) =
+    # u^2 (x) u*^2 (x) u differ
+    u1 = _u1_copy()
+    _reattach(u1, delta={"u": TensorElem((u1, u1), {(("u", "u"), ("u*",)): QRat(1)}),
+                         "u*": TensorElem((u1, u1), {(("u*", "u*"), ("u",)): QRat(1)})})
+    delta = u1.hopf.delta
+    for rep in (verify_hopf_axioms(u1), verify_coaction(delta)):
+        assert all(c.passed for c in rep.checks if c.name.startswith("relation"))
+        failed = {c.name: c.detail for c in rep.failures()}
+        assert failed["coassociativity"] == "failing generators: u, u*"
+    # both certificates read one list, computed once
+    assert delta.coassociativity_failures is delta.coassociativity_failures
+    assert not sweep_hopf_axioms(u1, 4)["coassociativity"]
 
 
 def test_inverse_antipode_must_respect_the_relations():
