@@ -39,10 +39,9 @@ class ProjectorError(ArithmeticError):
 class Functional:
     """Unital linear functional on a presented algebra."""
 
-    def __init__(self, alg: Presentation, fn, rule: str = "custom"):
+    def __init__(self, alg: Presentation, fn):
         self.alg = alg
         self.fn = fn
-        self.rule = rule
         if fn(alg.one()) != QRat(1):
             raise ValueError("functional must be unital")
 
@@ -54,14 +53,14 @@ class Functional:
 
     @classmethod
     def constant_term(cls, alg: Presentation) -> "Functional":
-        return cls(alg, lambda p: p.constant_term(), rule="constant-term")
+        return cls(alg, lambda p: p.constant_term())
 
     @classmethod
     def pullback(cls, phi: "Functional", f: Morphism) -> "Functional":
         """phi o f; the choice the commuting sigma-diagram requires."""
         if phi.alg is not f.target:
             raise PresentationError("functional does not live on the morphism target")
-        return cls(f.source, lambda p: phi(f.apply(p)), rule=f"{phi.rule} o {f.name}")
+        return cls(f.source, lambda p: phi(f.apply(p)))
 
 
 def sigma(phi: Functional, ell: StrongConnection, delta: Coaction,
@@ -103,38 +102,24 @@ def connection_expansion(ell: StrongConnection, c: Corepresentation):
     """Extract the finite expansion l(c_ij) = sum_mu a_mu (x) r_mu(c_ij).
 
     The a_mu are the echelonized first-leg slices over all matrix entries,
-    listed by descending term order of their pivot words; r_mu is recomputed
-    against that reduced basis.
+    listed by descending term order of their pivot words.  The rows are fully
+    reduced with pivot coefficient 1, so a slice's coordinate on a_mu is its
+    coefficient at the pivot of a_mu, and r_mu(c_ij) collects those.
     """
     A = ell.A
-    H = ell.domain.H
-    if c.H is not H:
+    if c.H is not ell.domain.H:
         raise PresentationError("corepresentation lives over the wrong coalgebra")
-    slices = []
-    values = {}
-    for i in range(c.n):
-        for j in range(c.n):
-            t = ell.ell(c[i, j])
-            values[(i, j)] = t
-            for _, first_slice in t.grouped(1).items():
-                slices.append(dict(first_slice.terms))
+    slices = {(i, j): ell.ell(c[i, j]).grouped(1) for i in range(c.n) for j in range(c.n)}
     space = RowSpace(A.term_key)
-    for s in slices:
-        space.insert(s)
-    order = sorted(range(space.dim), key=lambda k: A.term_key(space.pivots[k]),
-                   reverse=True)
-    a_mu = [NCPoly(A, space.rows[k], normal=True) for k in order]
-    r_table: dict = {}
-    for (i, j), t in values.items():
-        rij = [{} for _ in a_mu]
-        for second_word, first_slice in t.grouped(1).items():
-            coords = space.coordinates(dict(first_slice.terms))
-            if coords is None:
-                raise ArithmeticError("first legs escaped their own span")
-            for mu, coeff in enumerate(coords[k] for k in order):
-                if not coeff.is_zero:
-                    rij[mu][second_word] = coeff
-        r_table[(i, j)] = [NCPoly(A, terms, normal=True) for terms in rij]
+    for by_second in slices.values():
+        for first_slice in by_second.values():
+            space.insert(dict(first_slice.terms))
+    rows = dict(zip(space.pivots, space.rows))
+    pivots = sorted(rows, key=A.term_key, reverse=True)
+    a_mu = [NCPoly(A, rows[p], normal=True) for p in pivots]
+    r_table = {ij: [NCPoly(A, {w: s.terms[p] for w, s in by_second.items() if p in s.terms},
+                           normal=True) for p in pivots]
+               for ij, by_second in slices.items()}
     return a_mu, r_table
 
 

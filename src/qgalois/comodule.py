@@ -52,8 +52,7 @@ def verify_coaction(delta: Coaction) -> Report:
 def invariant_subspace(delta: Coaction, d: int) -> list[NCPoly]:
     """Reduced basis of {b in A_{<=d} : delta(b) = b (x) 1}: the cotensor
     product with the trivial corepresentation, B = A box_H C."""
-    trivial = Corepresentation("trivial", delta.H, [[delta.H.one()]])
-    return [b for (b,) in cotensor_basis(delta, trivial, d)]
+    return [b for (b,) in cotensor_basis(delta, trivial_corep(delta.H), d)]
 
 
 class Corepresentation:
@@ -111,6 +110,11 @@ def contragredient(c: Corepresentation) -> Corepresentation:
     """Antipode applied entrywise to the transpose."""
     entries = [[structure.antipode(c[j, i]) for j in range(c.n)] for i in range(c.n)]
     return Corepresentation(f"{c.name}-dual", c.H, entries)
+
+
+def trivial_corep(H: Presentation) -> Corepresentation:
+    """The trivial corepresentation [[1]]; its cotensor product is B = A^{co H}."""
+    return Corepresentation("trivial", H, [[H.one()]])
 
 
 def corep_equivalence(c: Corepresentation, c2: Corepresentation, Q) -> Report:

@@ -40,20 +40,21 @@ class TableLineError(PresentationError):
 
 
 class CoalgebraSpan:
-    """Finite-dimensional subspace of a Hopf presentation, meant to be closed
-    under the coproduct and to contain the coaugmentation 1."""
+    """Finite-dimensional subspace of a Hopf presentation spanned by the given
+    elements, meant to be closed under the coproduct and to contain the
+    coaugmentation 1.  exprs[k] writes basis[k] as {element index: coefficient}
+    over the elements, zero ones included."""
 
     def __init__(self, H: Presentation, elements):
         self.H = H
-        self.elements: list[NCPoly] = [e for e in elements if not e.is_zero]
-        for e in self.elements:
+        self._space = RowSpace(H.term_key)
+        for e in elements:
             if e.alg is not H:
                 raise PresentationError("span element in the wrong algebra")
-        self._space = RowSpace(H.term_key)
-        for e in self.elements:
             self._space.insert(dict(e.terms))
         self.basis: list[NCPoly] = [NCPoly(H, r, normal=True) for r in self._space.rows]
-        if self.coordinates(H.one()) is None:
+        self.exprs = self._space.exprs
+        if not self.contains(H.one()):
             raise PresentationError("coalgebra span must contain the unit coaugmentation")
 
     @property
@@ -62,6 +63,11 @@ class CoalgebraSpan:
 
     def coordinates(self, h: NCPoly):
         return self._space.coordinates(dict(h.terms))
+
+    def express(self, h: NCPoly):
+        """h as {element index: coefficient} over the spanning elements, or None
+        if h is outside the span."""
+        return self._space.express(dict(h.terms))
 
     def contains(self, h: NCPoly) -> bool:
         return self.coordinates(h) is not None
@@ -98,47 +104,38 @@ class StrongConnection:
     """Bicolinear unital splitting l: C -> A (x) A, stored as a finite table on
     a coalgebra span, or procedurally (l = (S (x) id) o Delta) when A = H."""
 
-    def __init__(self, domain: CoalgebraSpan, A: Presentation, coaction: Coaction,
-                 kind: str, values=None, name: str = ""):
+    def __init__(self, domain: CoalgebraSpan, coaction: Coaction, values=None,
+                 name: str = ""):
         self.domain = domain
-        self.A = A
+        self.A = coaction.A
         self.coaction = coaction
-        self.kind = kind
         self.name = name or f"connection_on_{domain.H.name}"
-        self._values = values  # aligned with domain.basis for kind == 'table'
+        # aligned with domain.basis; None for the canonical rule S(h_(1)) (x) h_(2)
+        self._values = values
         self._word_cache: dict[Word, TensorElem] = {}
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def from_table(cls, domain: CoalgebraSpan, coaction: Coaction, pairs,
-                   name: str = "") -> "StrongConnection":
+    def from_table(cls, coaction: Coaction, pairs, name: str = "") -> "StrongConnection":
+        """l(elem) = val for each line (elem, val) of pairs, on the span of the
+        elems.  A line dependent on earlier ones must agree with their values;
+        its expression uses only earlier independent lines, so a contradiction
+        is a TableLineError at its own index."""
         A = coaction.A
-        space = RowSpace(domain.H.term_key)
-        table_values = []
+        domain = CoalgebraSpan(coaction.H, [elem for elem, _ in pairs])
 
         def value_of(expr):
-            return TensorElem((A, A), combine((table_values[k].terms, c)
+            return TensorElem((A, A), combine((pairs[k][1].terms, c)
                                               for k, c in expr.items()), normal=True)
 
         for i, (elem, val) in enumerate(pairs):
-            if elem.alg is not domain.H:
-                raise PresentationError("table element in the wrong coalgebra")
             if val.legs != (A, A):
                 raise PresentationError("table value must live in A (x) A")
-            # a line dependent on earlier ones must agree with their values
-            v = dict(elem.terms)
-            if not space.insert(v) and value_of(space.express(v)) != val:
+            if value_of(domain.express(elem)) != val:
                 raise TableLineError(
                     f"table value at {elem} contradicts the earlier lines", i)
-            table_values.append(val)
-        values = []
-        for b in domain.basis:
-            expr = space.express(dict(b.terms))
-            if expr is None:
-                raise PresentationError(f"table does not cover span element {b}")
-            values.append(value_of(expr))
-        return cls(domain, A, coaction, "table", values, name=name)
+        return cls(domain, coaction, [value_of(expr) for expr in domain.exprs], name=name)
 
     @classmethod
     def trivial(cls, H: Presentation, span: CoalgebraSpan,
@@ -150,7 +147,7 @@ class StrongConnection:
         coaction = coaction or H.hopf.delta
         if coaction.A is not H or coaction.H is not H:
             raise PresentationError("trivial connection requires A = H with delta = Delta")
-        return cls(span, H, coaction, "trivial", name=f"trivial_{H.name}")
+        return cls(span, coaction, name=f"trivial_{H.name}")
 
     # -- evaluation ---------------------------------------------------------
 
@@ -166,7 +163,7 @@ class StrongConnection:
         """Evaluate the connection on an element of the domain span."""
         if h.alg is not self.domain.H:
             raise PresentationError("connection argument in the wrong coalgebra")
-        if self.kind == "trivial":
+        if self._values is None:
             pairs = ((self._ell_trivial_word(w).terms, c) for w, c in h.terms.items())
         else:
             coords = self.domain.coordinates(h)
@@ -179,55 +176,45 @@ class StrongConnection:
         return self.ell(h)
 
 
-def _difference(lhs: TensorElem, rhs: dict) -> str:
-    """The FAIL witness of a clause lhs = rhs: their difference, cut short."""
-    return "difference " + (lhs - TensorElem(lhs.legs, rhs, normal=True)).brief()
-
-
 def check_strong_connection(ell: StrongConnection, delta: Coaction) -> Report:
     """Certify unitality, m o l = eps, and both colinearity clauses on the
-    domain span, exactly in symbolic q."""
+    domain span, exactly in symbolic q, reading l once per basis element."""
     H = ell.domain.H
     A = ell.A
-    hopf = structure._require_hopf(H)
+    structure._require_hopf(H)
     rep = Report()
-    one = H.one()
-    unit_val = ell.ell(one)
+    unit_val = ell.ell(H.one())
     rep.add("unitality", unit_val == TensorElem.unit((A, A)),
             f"l(1) = {unit_val}", tag="l(e) = 1 (x) 1")
-    for b in ell.domain.basis:
-        lv = ell.ell(b)
+    basis = ell.domain.basis
+    values = [ell.ell(b) for b in basis]
+    # (name, tag, leg the coaction acts on, that coaction, its legs); the other side
+    # sums l(s_k) (x) h_k over Delta(b) = sum_k s_k (x) h_k, or h_k (x) l(s_k)
+    sides = (("right-colinearity", "(id (x) delta) o l = (l (x) id) o Delta",
+              1, delta.apply_word, (A, delta.H)),
+             ("left-colinearity",
+              "(((S^-1 (x) id) o flip o delta) (x) id) o l = (id (x) l) o Delta",
+              0, lambda w: left_coaction_word(delta, w), (delta.H, A)))
+    for b, lv in zip(basis, values):
         mult = lv.multiply_legs()
         eps = structure.counit(b)
         ok = mult == A.one() * eps
         rep.add(f"mult-counit {b}", ok,
                 "m(l(c)) = eps(c) 1" if ok else f"m(l(c)) = {mult}, eps(c) = {eps}",
                 tag="m o l = eps")
-        # right colinearity
-        try:
-            comp0 = ell.domain.delta_components(b, 0)
-            lhs = lv.expand_leg(1, delta.apply_word, legs_hint=(A, delta.H))
-            rhs = combine((ell.ell(s).outer(TensorElem.from_poly(h)).terms, ONE)
-                          for s, h in zip(ell.domain.basis, comp0) if not h.is_zero)
-            ok = lhs.terms == rhs
-            rep.add(f"right-colinearity {b}", ok, "" if ok else _difference(lhs, rhs),
-                    tag="(id (x) delta) o l = (l (x) id) o Delta")
-        except SpanClosureError as exc:
-            rep.add(f"right-colinearity {b}", False, f"closure violation: {exc}",
-                    tag="(id (x) delta) o l = (l (x) id) o Delta")
-        # left colinearity
-        try:
-            comp1 = ell.domain.delta_components(b, 1)
-            lhs = lv.expand_leg(0, lambda w: left_coaction_word(delta, w),
-                                legs_hint=(delta.H, A))
-            rhs = combine((TensorElem.from_poly(h).outer(ell.ell(s)).terms, ONE)
-                          for s, h in zip(ell.domain.basis, comp1) if not h.is_zero)
-            ok = lhs.terms == rhs
-            rep.add(f"left-colinearity {b}", ok, "" if ok else _difference(lhs, rhs),
-                    tag="(((S^-1 (x) id) o flip o delta) (x) id) o l = (id (x) l) o Delta")
-        except SpanClosureError as exc:
-            rep.add(f"left-colinearity {b}", False, f"closure violation: {exc}",
-                    tag="(((S^-1 (x) id) o flip o delta) (x) id) o l = (id (x) l) o Delta")
+        for name, tag, leg, coact, legs in sides:
+            try:
+                comp = ell.domain.delta_components(b, 1 - leg)
+                lhs = lv.expand_leg(leg, coact, legs_hint=legs)
+                rhs = combine(((v.outer(TensorElem.from_poly(h)) if leg else
+                                TensorElem.from_poly(h).outer(v)).terms, ONE)
+                              for v, h in zip(values, comp) if not h.is_zero)
+                ok = lhs.terms == rhs
+                # a FAIL's witness is the difference of the two sides, cut short
+                rep.add(f"{name} {b}", ok, "" if ok else "difference " + (
+                    lhs - TensorElem(lhs.legs, rhs, normal=True)).brief(), tag=tag)
+            except SpanClosureError as exc:
+                rep.add(f"{name} {b}", False, f"closure violation: {exc}", tag=tag)
     return rep
 
 
@@ -264,11 +251,6 @@ def pullback_connection(f: Morphism, ell: StrongConnection,
     eq = check_equivariance(f, ell.coaction, delta2)
     if not eq.ok:
         raise PresentationError("pullback requires an equivariant morphism")
-    pairs = []
-    for b in ell.domain.basis:
-        val = ell.ell(b)
-        mapped = val.map_leg(0, f.apply_word, target=f.target)
-        mapped = mapped.map_leg(1, f.apply_word, target=f.target)
-        pairs.append((b, mapped))
-    return StrongConnection.from_table(ell.domain, delta2, pairs,
-                                       name=f"pullback_{ell.name}")
+    pairs = [(b, ell.ell(b).map_leg(0, f.apply_word, target=f.target)
+              .map_leg(1, f.apply_word, target=f.target)) for b in ell.domain.basis]
+    return StrongConnection.from_table(delta2, pairs, name=f"pullback_{ell.name}")

@@ -71,6 +71,10 @@ class Presentation:
         for g in self.generators:
             if g.name in self._by_name:
                 raise PresentationError(f"duplicate generator {g.name!r}")
+            if g.weight < 0:
+                # (weight, length, lex) is a well-order only for weights >= 0
+                raise PresentationError(f"weight of {g.name!r} is negative; the "
+                                        "reduction order needs weights >= 0")
             self._by_name[g.name] = g
         for g in self.generators:
             if g.star not in self._by_name:

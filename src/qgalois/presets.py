@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .comodule import Coaction, Corepresentation, contragredient, regular_coaction
+from .comodule import Coaction, Corepresentation, contragredient, regular_coaction, \
+    trivial_corep
 from .connection import CoalgebraSpan, StrongConnection
 from .linalg import add_scaled
 from .ncalg import NCPoly, Presentation, PresentationError
@@ -132,10 +133,6 @@ def regular_u1_coaction() -> Coaction:
     return regular_coaction(u1())
 
 
-def trivial_corep(alg: Presentation) -> Corepresentation:
-    return Corepresentation("trivial", alg, [[alg.one()]])
-
-
 def u1_corep(n: int) -> Corepresentation:
     """The one-dimensional corepresentation [u^n] of the circle."""
     H = u1()
@@ -199,10 +196,8 @@ def u1_power_table(n: int) -> list:
 
 def u1_power_connection(n: int) -> StrongConnection:
     """Strong connection for the circle fibration, defined on {1, u^sgn, ..., u^n}."""
-    pairs = u1_power_table(n)
-    delta = fibration_coaction()
-    span = CoalgebraSpan(u1(), [e for e, _ in pairs])
-    return StrongConnection.from_table(span, delta, pairs, name=f"u1-power-{n}")
+    return StrongConnection.from_table(fibration_coaction(), u1_power_table(n),
+                                       name=f"u1-power-{n}")
 
 
 def fibration_connection(max_abs: int) -> StrongConnection:
@@ -211,9 +206,8 @@ def fibration_connection(max_abs: int) -> StrongConnection:
     if max_abs < 1:
         raise ValueError("need at least winding one")
     pairs = u1_power_table(max_abs) + u1_power_table(-max_abs)[1:]
-    delta = fibration_coaction()
-    span = CoalgebraSpan(u1(), [e for e, _ in pairs])
-    return StrongConnection.from_table(span, delta, pairs, name=f"u1-fibration-{max_abs}")
+    return StrongConnection.from_table(fibration_coaction(), pairs,
+                                       name=f"u1-fibration-{max_abs}")
 
 
 PRESET_ALGEBRAS = {"suq2": ["suq2"], "u1": ["u1"], "podles-line": ["suq2", "u1"],

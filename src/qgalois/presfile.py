@@ -19,7 +19,7 @@ length of its integer coefficients.  A join element is a tensor over
 from __future__ import annotations
 
 from .comodule import Coaction, Corepresentation
-from .connection import CoalgebraSpan, StrongConnection, TableLineError
+from .connection import StrongConnection, TableLineError
 from .linalg import ONE
 from .ncalg import Generator, NCPoly, Presentation, PresentationError
 from .scalars import QRat, qrat
@@ -319,11 +319,13 @@ def parse_workspace(text: str, filename: str = "<string>") -> Workspace:
 def _header_fields(block, filename: str, usage: str) -> list[str]:
     """The words of a block header, checked against usage: an upper-case word
     of usage stands for a field, any other word must appear as written, and
-    a bracketed tail is optional."""
+    the header is the required words, or those and the whole bracketed tail."""
     parts = block["header"].split()
-    pattern = usage.split("[")[0].split()
-    if len(parts) < len(pattern) or any(
-            p != f and not p.isupper() for p, f in zip(pattern, parts)):
+    required, _, tail = usage.partition("[")
+    pattern = required.split()
+    if not any(len(parts) == len(words) and all(
+            w == f or w.isupper() for w, f in zip(words, parts))
+            for words in (pattern, pattern + tail.rstrip("]").split())):
         raise PresentationFileError(f"{pattern[0]} header must read '{usage}'",
                                     filename, block["line"])
     return parts
@@ -355,6 +357,7 @@ def _build_algebra(ws: Workspace, block, filename: str):
     tables: dict[str, dict] = {"coproduct": {}, "counit": {}, "antipode": {},
                                "antipode_inv": {}}
     hopf_lines: list[tuple[str, int, str]] = []
+    named: list[tuple[int, str]] = []  # (line, generator) of each star and weight line
     for lineno, text in block["body"]:
         fields = text.split()
         key = fields[0]
@@ -366,6 +369,7 @@ def _build_algebra(ws: Workspace, block, filename: str):
                                             filename, lineno)
             stars[fields[1]] = fields[2]
             stars[fields[2]] = fields[1]
+            named += [(lineno, fields[1]), (lineno, fields[2])]
         elif key == "order":
             order = [f for f in fields[1:] if f != "<"]
         elif key == "reduction_order":
@@ -379,6 +383,11 @@ def _build_algebra(ws: Workspace, block, filename: str):
             except ValueError:
                 raise PresentationFileError("weight must be an integer",
                                             filename, lineno) from None
+            if weights[fields[1]] < 0:
+                raise PresentationFileError(f"weight of {fields[1]!r} is negative; the "
+                                            "reduction order needs weights >= 0",
+                                            filename, lineno)
+            named.append((lineno, fields[1]))
         elif key == "rel":
             rels.append((lineno, text[len("rel"):].strip()))
         elif key in tables:
@@ -391,6 +400,9 @@ def _build_algebra(ws: Workspace, block, filename: str):
         if g in _RESERVED_NAMES:
             raise PresentationFileError(f"generator name {g!r} is reserved",
                                         filename, block["line"])
+    for lineno, g in named:
+        if g not in gen_names:
+            raise PresentationFileError(f"unknown generator {g!r} in {name}", filename, lineno)
     if order is not None:
         if set(order) != set(gen_names):
             raise PresentationFileError("order must list every generator",
@@ -455,7 +467,7 @@ def _build_corep(ws: Workspace, block, filename: str):
     except ValueError:
         raise PresentationFileError(f"corep header must read '{usage}'",
                                     filename, block["line"]) from None
-    if len(parts) >= 6 and parts[4] == "over":
+    if len(parts) == 6:
         alg_name = parts[5]
     elif len(ws.algebras) == 1:
         alg_name = next(iter(ws.algebras))
@@ -499,8 +511,7 @@ def _build_connection(ws: Workspace, block, filename: str):
         elem = parse_element(H, left.strip(), filename, lineno)
         value = parse_tensor((A, A), right.strip(), filename, lineno)
         pairs.append((elem, value))
-    span = CoalgebraSpan(H, [e for e, _ in pairs])
-    ws.connections[name] = StrongConnection.from_table(span, delta, pairs, name=name)
+    ws.connections[name] = StrongConnection.from_table(delta, pairs, name=name)
 
 
 def _build_morphism(ws: Workspace, block, filename: str):

@@ -64,6 +64,14 @@ its own loops: the oracle for the `block-idempotent`, `block-absorption` and
 `conjugation` lines of `cherngalois.align_blocks`, which derive them from
 f(E)^2 = f(E) and the block form.
 
+`reference_connection_expansion` solves for each first-leg slice's
+coordinates over the echelonized slices, and `reference_table_values` spans a
+connection table's elements in one elimination and expresses each basis
+element over the lines in another: the oracles for
+`cherngalois.connection_expansion`, which reads r_mu at the pivots, and for
+`StrongConnection.from_table`, which reads its domain and values off one
+elimination.
+
 `reference_parser` is the argparse command line that `qgalois.cli` used
 before its option table, with pullback's `--corep-name` since renamed
 `--corep` and no `--corep` default: the oracle for `cli.parse_args`.
@@ -80,7 +88,8 @@ import itertools
 
 from qgalois import structure
 from qgalois.cherngalois import sigma
-from qgalois.linalg import RowSpace, add_scaled, nullspace
+from qgalois.connection import TableLineError
+from qgalois.linalg import RowSpace, add_scaled, combine, nullspace
 from qgalois.ncalg import NCPoly
 from qgalois.presfile import PresentationFileError, _ExprParser, _tokenize
 from qgalois.scalars import QRat
@@ -386,6 +395,51 @@ def reference_invariant_subspace(delta, d: int) -> list:
     for sol in nullspace(columns, lambda k: (A.term_key(k[0]), H.term_key(k[1]))):
         space.insert({w: c for w, c in zip(words, sol) if not c.is_zero})
     return [NCPoly(A, row, normal=True) for row in space.sorted_rows()]
+
+
+def reference_connection_expansion(ell, c):
+    """(a_mu, r_table) of l(c_ij) = sum_mu a_mu (x) r_mu(c_ij) by solving: the
+    first-leg slices are echelonized, and each slice's coordinates over the
+    rows, permuted into descending pivot order, give the r_mu."""
+    A = ell.A
+    values = {(i, j): ell.ell(c[i, j]) for i in range(c.n) for j in range(c.n)}
+    space = RowSpace(A.term_key)
+    for t in values.values():
+        for first_slice in t.grouped(1).values():
+            space.insert(dict(first_slice.terms))
+    order = sorted(range(space.dim), key=lambda k: A.term_key(space.pivots[k]),
+                   reverse=True)
+    r_table = {}
+    for ij, t in values.items():
+        r_ij = [{} for _ in order]
+        for second_word, first_slice in t.grouped(1).items():
+            coords = space.coordinates(dict(first_slice.terms))
+            for mu, k in enumerate(order):
+                if not coords[k].is_zero:
+                    r_ij[mu][second_word] = coords[k]
+        r_table[ij] = [NCPoly(A, terms, normal=True) for terms in r_ij]
+    return [NCPoly(A, space.rows[k], normal=True) for k in order], r_table
+
+
+def reference_table_values(coaction, pairs):
+    """(domain basis, l on it) of a connection table by two eliminations: one
+    spans the elements, the other records the lines, and each basis element
+    is expressed over the lines.  A dependent line that disagrees with the
+    lines before it raises TableLineError at its index."""
+    A, H = coaction.A, coaction.H
+    domain, lines = RowSpace(H.term_key), RowSpace(H.term_key)
+
+    def value_of(expr):
+        return TensorElem((A, A), combine((pairs[k][1].terms, c) for k, c in expr.items()),
+                          normal=True)
+
+    for i, (elem, val) in enumerate(pairs):
+        v = dict(elem.terms)
+        domain.insert(v)
+        if not lines.insert(v) and value_of(lines.express(v)) != val:
+            raise TableLineError(f"table value at {elem} contradicts the earlier lines", i)
+    basis = [NCPoly(H, row, normal=True) for row in domain.rows]
+    return basis, [value_of(lines.express(dict(b.terms))) for b in basis]
 
 
 def reference_parser() -> argparse.ArgumentParser:

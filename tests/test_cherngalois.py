@@ -12,8 +12,7 @@ from qgalois.cherngalois import (Functional, ProjectorError, _tau, align_blocks,
                                  sigma, trace_rank, verify_pullback_theorem)
 from qgalois.comodule import (Corepresentation, contragredient, invariant_subspace,
                               regular_coaction)
-from qgalois.connection import (CoalgebraSpan, CoverageError, StrongConnection,
-                                pullback_connection)
+from qgalois.connection import CoverageError, StrongConnection, pullback_connection
 from qgalois.linalg import identity, invert_scalar_matrix, kron
 from qgalois.ncalg import PresentationError
 from qgalois.presfile import parse_workspace
@@ -21,8 +20,9 @@ from qgalois.scalars import QRat, q_power
 from qgalois.structure import Morphism
 from qgalois.tensors import TensorElem
 
-from sweeps import (certified, sweep_blocks, sweep_idempotent, sweep_invariance,
-                    sweep_sigma_diagram, sweep_sigma_entries)
+from sweeps import (certified, reference_connection_expansion, sweep_blocks,
+                    sweep_idempotent, sweep_invariance, sweep_sigma_diagram,
+                    sweep_sigma_entries)
 
 # the circle acting diagonally on the torus C[v, v*, y, y*]; `glue` sends both
 # circles to one, so f(y*) = f(v*) and the pullback needs a change of basis
@@ -89,7 +89,7 @@ def test_functional_is_unital(suq2):
     phi = Functional.constant_term(suq2)
     assert phi(suq2.one()) == QRat(1)
     with pytest.raises(ValueError):
-        Functional(suq2, lambda p: QRat(0), rule="zero")
+        Functional(suq2, lambda p: QRat(0))
 
 
 def test_sigma_fixes_invariants(podles, suq2):
@@ -183,10 +183,9 @@ def test_line_two_projector(fibration, suq2):
 
 
 def test_invalid_connection_is_a_hard_failure(fibration, suq2, u1):
-    span = CoalgebraSpan(u1, [u1.one(), u1.gen("u")])
     pairs = [(u1.one(), TensorElem.unit((suq2, suq2))),
              (u1.gen("u"), TensorElem((suq2, suq2), {(("a*",), ("a",)): QRat(1)}))]
-    broken = StrongConnection.from_table(span, fibration, pairs)
+    broken = StrongConnection.from_table(fibration, pairs)
     phi = Functional.constant_term(suq2)
     with pytest.raises(ProjectorError) as exc:
         projector(broken, presets.u1_corep(1), phi, fibration)
@@ -198,10 +197,9 @@ def test_invalid_connection_is_a_hard_failure(fibration, suq2, u1):
 def test_empty_expansion_fails_at_idempotent_with_shapes(fibration, suq2, u1):
     # with l(u) = 0 the expansion has no first legs: E and X have no rows and
     # Y is 1x0, so no product is formed and idempotent names the shapes
-    span = CoalgebraSpan(u1, [u1.one(), u1.gen("u")])
     pairs = [(u1.one(), TensorElem.unit((suq2, suq2))),
              (u1.gen("u"), TensorElem((suq2, suq2), {}))]
-    empty = StrongConnection.from_table(span, fibration, pairs)
+    empty = StrongConnection.from_table(fibration, pairs)
     with pytest.raises(ProjectorError) as exc:
         projector(empty, presets.u1_corep(1), Functional.constant_term(suq2), fibration)
     assert exc.value.report.lines() == [
@@ -367,6 +365,23 @@ def test_expansion_reassembles_the_connection(kind):
         for a, p in zip(a_mu, r_ij, strict=True):
             total = total + TensorElem.from_poly(a).outer(TensorElem.from_poly(p))
         assert total == ell.ell(c[i, j])
+
+
+@pytest.mark.parametrize("kind", [1, -1, 2, -2, 3, -3, 4, -4, "u", "u-dual", "trivial",
+                                  "torus"])
+def test_expansion_reads_the_coordinates_a_solve_finds(monkeypatch, torus, kind):
+    # r_mu(c_ij) is read at the pivots, grouping each l(c_ij) once
+    if kind == "torus":
+        _, ell, c, _, _ = torus
+    else:
+        _, E = _bundle(kind)
+        ell, c = E.ell, E.corep
+    real, calls = TensorElem.grouped, []
+    monkeypatch.setattr(TensorElem, "grouped", lambda t, i: calls.append(i) or real(t, i))
+    got = connection_expansion(ell, c)
+    monkeypatch.undo()
+    assert len(calls) == c.n ** 2
+    assert got == reference_connection_expansion(ell, c)
 
 
 @pytest.mark.parametrize("n", [3, -3])

@@ -207,6 +207,16 @@ def test_malformed_file_is_an_input_error(capsys, tmp_path):
     assert "error" in err
 
 
+def test_negative_weight_is_an_input_error(capsys, tmp_path):
+    # it passed the termination check and then never finished normalizing
+    f = tmp_path / "neg.alg"
+    f.write_text("algebra s\ngenerators a b\nweight a -1\nrel b = a a b\n")
+    code, out, err = run(capsys, "verify", "--input", str(f))
+    assert code == 2 and not out
+    assert f"{f}:3: weight of 'a' is negative" in err
+    assert "Traceback" not in err
+
+
 def test_empty_tensor_leg_is_an_input_error(capsys, tmp_path):
     f = tmp_path / "leg.alg"
     src = presets.SUQ2_SOURCE + presets.U1_SOURCE + presets.FIBRATION_SOURCE.replace(

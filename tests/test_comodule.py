@@ -161,18 +161,6 @@ def test_cotensor_trivial_corep_equals_invariants(fibration, regular_suq2, regul
             assert invariant_subspace(delta, d) == reference_invariant_subspace(delta, d)
 
 
-def test_cotensor_trivial_corep_all_presets(fibration, regular_suq2, regular_u1,
-                                            suq2, u1):
-    cases = [(fibration, presets.trivial_corep(u1)),
-             (regular_suq2, presets.trivial_corep(suq2)),
-             (regular_u1, presets.trivial_corep(u1))]
-    for delta, c in cases:
-        for d in range(4):
-            cot = cotensor_basis(delta, c, d)
-            inv = invariant_subspace(delta, d)
-            assert [vec[0] for vec in cot] == inv
-
-
 def test_left_coaction_examples(fibration, suq2, u1):
     assert left_coaction(fibration, suq2.gen("a")) == \
         TensorElem((u1, suq2), {(("u*",), ("a",)): QRat(1)})

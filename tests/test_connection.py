@@ -2,12 +2,14 @@ import pytest
 
 from qgalois import presets
 from qgalois.connection import (CoalgebraSpan, CoverageError, SpanClosureError,
-                                StrongConnection, check_equivariance,
+                                StrongConnection, TableLineError, check_equivariance,
                                 check_strong_connection, pullback_connection)
 from qgalois.ncalg import PresentationError
 from qgalois.scalars import QRat, q_power
 from qgalois.structure import Morphism
 from qgalois.tensors import TensorElem
+
+from sweeps import reference_table_values
 
 
 def test_span_requires_unit(u1):
@@ -64,10 +66,9 @@ def test_power_connection_rejects_zero():
 
 
 def test_broken_connection_fails(fibration, suq2, u1):
-    span = CoalgebraSpan(u1, [u1.one(), u1.gen("u")])
     pairs = [(u1.one(), TensorElem.unit((suq2, suq2))),
              (u1.gen("u"), TensorElem((suq2, suq2), {(("a*",), ("a",)): QRat(1)}))]
-    ell = StrongConnection.from_table(span, fibration, pairs, name="broken")
+    ell = StrongConnection.from_table(fibration, pairs, name="broken")
     rep = check_strong_connection(ell, fibration)
     assert not rep.ok
     assert any(c.name.startswith("mult-counit") for c in rep.failures())
@@ -76,12 +77,11 @@ def test_broken_connection_fails(fibration, suq2, u1):
 def test_left_colinearity_fails_independently(fibration, suq2, u1):
     # m o l = eps and right colinearity hold, but the first legs carry the
     # wrong weight, so only the left clause (which needs S^-1) fails
-    span = CoalgebraSpan(u1, [u1.one(), u1.gen("u")])
     value = TensorElem((suq2, suq2), {
         (("a*",), ("a",)): QRat(1), (("g*",), ("g",)): QRat(1),
         (("g",), ("a",)): QRat(1), (("a",), ("g",)): -q_power(-1)})
     ell = StrongConnection.from_table(
-        span, fibration, [(u1.one(), TensorElem.unit((suq2, suq2))),
+        fibration, [(u1.one(), TensorElem.unit((suq2, suq2))),
                           (u1.gen("u"), value)], name="lopsided")
     rep = check_strong_connection(ell, fibration)
     assert not rep.ok
@@ -98,11 +98,10 @@ def test_left_colinearity_fails_independently(fibration, suq2, u1):
 
 def test_wrong_winding_fails_colinearity(fibration, suq2, u1):
     # l(u^-1) declared as the value of u passes m o l = eps but is not colinear
-    span = CoalgebraSpan(u1, [u1.one(), u1.gen("u")])
     value = TensorElem((suq2, suq2), {(("a",), ("a*",)): QRat(1),
                                       (("g",), ("g*",)): q_power(2)})
     ell = StrongConnection.from_table(
-        span, fibration, [(u1.one(), TensorElem.unit((suq2, suq2))),
+        fibration, [(u1.one(), TensorElem.unit((suq2, suq2))),
                           (u1.gen("u"), value)], name="wrong-winding")
     rep = check_strong_connection(ell, fibration)
     by_name = {c.name: c.passed for c in rep.checks}
@@ -161,3 +160,49 @@ def test_pullback_requires_equivariance(fibration, regular_u1, suq2, u1):
     ell = presets.u1_power_connection(1)
     with pytest.raises(PresentationError):
         pullback_connection(wrong, ell, regular_u1)
+
+
+def _lines(case, suq2, u1):
+    """Table lines over the fibration with l(1) = 1 (x) 1 and l(u) = a* (x) a +
+    g* (x) g, and lines that depend on them."""
+    if isinstance(case, int):
+        return presets.u1_power_table(case)
+    one, u = u1.one(), u1.gen("u")
+    unit, lu = TensorElem.unit((suq2, suq2)), presets.u1_power_table(1)[1][1]
+    return {"u twice": [(one, unit), (u, lu), (u, lu)],
+            "2u": [(one, unit), (u, lu), (u + u, lu + lu)],
+            "u + 1": [(one, unit), (u, lu), (u + one, lu + unit)],
+            "u + 1 first": [(u + one, lu + unit), (one, unit), (u, lu)],
+            "contradicting u": [(one, unit), (u, lu), (u, lu + unit)],
+            "zero element": [(one, unit), (u1.zero(), unit), (u, lu)]}[case]
+
+
+@pytest.mark.parametrize("case", [1, -1, 2, -2, 3, -3, 4, -4,
+                                  "u twice", "2u", "u + 1", "u + 1 first"])
+def test_table_values_agree_with_two_eliminations(fibration, suq2, u1, case):
+    # one elimination gives the domain and the values; a dependent line adds no
+    # basis element and takes the combination of the lines it depends on
+    pairs = _lines(case, suq2, u1)
+    ell = StrongConnection.from_table(fibration, pairs)
+    basis, values = reference_table_values(fibration, pairs)
+    assert ell.domain.basis == basis
+    assert [ell.ell(b) for b in basis] == values
+    assert check_strong_connection(ell, fibration).ok
+
+
+@pytest.mark.parametrize("case, index", [("contradicting u", 2), ("zero element", 1)])
+def test_inconsistent_table_lines_raise_at_their_index(fibration, suq2, u1, case, index):
+    pairs = _lines(case, suq2, u1)
+    for build in (StrongConnection.from_table, reference_table_values):
+        with pytest.raises(TableLineError) as exc:
+            build(fibration, pairs)
+        assert exc.value.index == index
+
+
+def test_connection_is_evaluated_once_per_basis_element(monkeypatch, fibration):
+    # both colinearity sides read the values l(b) of the mult-counit clause
+    ell = presets.fibration_connection(3)
+    real, calls = ell.ell, []
+    monkeypatch.setattr(ell, "ell", lambda h: calls.append(h) or real(h))
+    assert check_strong_connection(ell, fibration).ok
+    assert len(calls) == ell.domain.dim + 1

@@ -108,7 +108,7 @@ def test_sigma(data):
     ell = presets.fibration_connection(3)
     # the counit, unlike the constant term, gives tau(u^k) != 0 and so
     # products a_word tau that are not normal words
-    phi = Functional(delta.A, structure.counit, rule="counit")
+    phi = Functional(delta.A, structure.counit)
     a = data.draw(polys(delta.A, 2))
     # with h, the factor Y of the projector: a_(0) tau(h a_(1))
     h = data.draw(st.none() | polys(delta.H, 1, max_size=2))

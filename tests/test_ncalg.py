@@ -165,6 +165,14 @@ def test_termination_invariant_enforced():
         Presentation("bad", gens, [(("x",), {("x", "x"): QRat(1)})])
 
 
+def test_negative_weight_is_refused():
+    # (weight, length, lex) is a well-order only for weights >= 0: with weight
+    # a = -1 the rule b -> a a b decreases it, and b rewrites forever
+    gens = [Generator("a", "a", weight=-1), Generator("b", "b")]
+    with pytest.raises(PresentationError, match="weight of 'a' is negative"):
+        Presentation("s", gens, [(("b",), {("a", "a", "b"): QRat(1)})])
+
+
 def test_non_confluent_system_is_refused_when_built():
     # zzz -> 0 together with zz -> z: the containment ambiguity resolves to
     # 0 one way and z the other, so the presentation is refused and the

@@ -305,6 +305,47 @@ def test_relation_errors_name_the_algebra():
     assert str(exc.value) == "f.alg:3: unknown generator 'z' in s"
 
 
+_U1_REG = presets.U1_SOURCE + (
+    "coaction reg : u1 -> u1 (x) u1\ndelta u = u (x) u\ndelta u* = u* (x) u*\n")
+
+
+@pytest.mark.parametrize("source, bad, message", [
+    ("algebra s extra\ngenerators a\n", "algebra s extra",
+     "algebra header must read 'algebra NAME'"),
+    (presets.U1_SOURCE + "morphism m : u1 -> u1 junk\nf u = u\n",
+     "morphism m : u1 -> u1 junk", "morphism header must read 'morphism NAME : A -> B'"),
+    (presets.U1_SOURCE + "coaction reg : u1 -> u1 (x) u1 junk\ndelta u = u (x) u\n",
+     "coaction reg : u1 -> u1 (x) u1 junk",
+     "coaction header must read 'coaction NAME : A -> A (x) H'"),
+    (_U1_REG + "connection c on reg junk\nL 1 = 1 (x) 1\n", "connection c on reg junk",
+     "connection header must read 'connection NAME on COACTION'"),
+    (presets.U1_SOURCE + "corep c dim 1 junk\nrow u\n", "corep c dim 1 junk",
+     "corep header must read 'corep NAME dim N [over ALG]'"),
+    (presets.U1_SOURCE + "corep c dim 1 over\nrow u\n", "corep c dim 1 over",
+     "corep header must read 'corep NAME dim N [over ALG]'"),
+    ("algebra s\ngenerators a b\nweight z 2\n", "weight z 2", "unknown generator 'z' in s"),
+    ("algebra s\ngenerators a b\nstar z y\n", "star z y", "unknown generator 'z' in s"),
+    ("algebra s\ngenerators a b\nstar a y\n", "star a y", "unknown generator 'y' in s"),
+    ("algebra s\ngenerators a b\nweight a -1\nrel b = a a b\n", "weight a -1",
+     "weight of 'a' is negative; the reduction order needs weights >= 0"),
+], ids=["algebra", "morphism", "coaction", "connection", "corep", "corep-over",
+        "weight-name", "star-name", "star-partner", "negative-weight"])
+def test_lines_that_say_more_or_less_than_their_usage_are_refused(source, bad, message):
+    # a trailing word, a half tail or a name that is no generator was ignored
+    line = source.splitlines().index(bad) + 1
+    with pytest.raises(PresentationFileError) as exc:
+        parse_workspace(source, "f.alg")
+    assert str(exc.value) == f"f.alg:{line}: {message}"
+
+
+def test_headers_with_their_whole_tail_still_read():
+    ws = parse_workspace(presets.U1_SOURCE + "corep c dim 1 over u1\nrow u\n"
+                         "algebra s\ngenerators a b\nweight a 0\nstar a b\n")
+    assert ws.coreps["c"].H is ws.algebras["u1"]
+    assert [(g.name, g.star, g.weight) for g in ws.algebras["s"].generators] == \
+        [("a", "b", 0), ("b", "a", 1)]
+
+
 def test_zero_coefficients_are_dropped(suq2):
     for text in ("0 a", "a - a", "q a - q a + 0 g"):
         assert parse_expression(text, [suq2]) == {}
